@@ -11,9 +11,9 @@ use wrm_bench::{
 use wrm_core::Dist;
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
-    max_min_rates, mc_run, run_all, simulate, simulate_in, simulate_summary_in, sweep_grid,
-    FlowDemand, McOptions, McResult, Phase, Scenario, SchedulerPolicy, SimArena, SimOptions,
-    SimResult, SweepGrid,
+    max_min_rates, mc_run, run_all, simulate, simulate_summary, simulate_summary_with_base,
+    simulate_with_base, sweep_grid, BaseIndex, FlowDemand, McOptions, McResult, Phase, Scenario,
+    SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary, SweepGrid,
 };
 
 fn sim_scaling(c: &mut Criterion) {
@@ -236,19 +236,29 @@ fn scaling_scenario(shape: &str, n: usize) -> Scenario {
 fn scaling_row(shape: &'static str, n: usize, full: bool, reps: usize) -> ScalingRow {
     let scenario = scaling_scenario(shape, n);
     let mut arena = SimArena::new();
-    let sum = simulate_summary_in(&scenario, &mut arena).unwrap();
+    // Each timed call compiles the index, like a one-shot `simulate`,
+    // but reuses the warm arena.
+    let mut summary = || -> Result<SimSummary, SimError> {
+        let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+        simulate_summary_with_base(&scenario, &base, &mut arena)
+    };
+    let sum = summary().unwrap();
     assert_eq!(sum.n_tasks, n);
     let summary_ms = time_ms(reps, || {
-        black_box(simulate_summary_in(&scenario, &mut arena).unwrap().makespan);
+        black_box(summary().unwrap().makespan);
     });
+    let mut full_run = || -> Result<SimResult, SimError> {
+        let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+        simulate_with_base(&scenario, &base, &mut arena)
+    };
     let full_ms = full.then(|| {
-        let r = simulate_in(&scenario, &mut arena).unwrap();
+        let r = full_run().unwrap();
         assert_eq!(
             r.makespan, sum.makespan,
             "summary-mode makespan must match the full engine ({shape}/{n})"
         );
         time_ms(reps, || {
-            black_box(simulate_in(&scenario, &mut arena).unwrap().makespan);
+            black_box(full_run().unwrap().makespan);
         })
     });
     ScalingRow {
@@ -365,9 +375,7 @@ fn assert_mc_correct(scenario: &Scenario, reps: usize, seed: u64) -> McResult {
     }
 
     let pm = point_mass(scenario);
-    let det = simulate_summary_in(scenario, &mut SimArena::new())
-        .unwrap()
-        .makespan;
+    let det = simulate_summary(scenario).unwrap().makespan;
     let collapsed = mc_run(
         &pm,
         &McOptions {

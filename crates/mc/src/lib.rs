@@ -2,8 +2,8 @@
 //!
 //! Every concurrency-bearing module in the workspace (the vendored
 //! crossbeam channel, the serve worker pool / LRU / drain logic, the
-//! sweep column claimer) imports its primitives from here instead of
-//! `std::sync` / `std::thread`:
+//! work claimer of wrm-sim's parallel executor) imports its primitives
+//! from here instead of `std::sync` / `std::thread`:
 //!
 //! ```ignore
 //! use wrm_mc::sync::{Mutex, Condvar};

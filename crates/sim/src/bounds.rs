@@ -36,8 +36,9 @@
 //! asserts `lo <= simulate(spec).makespan <= hi` across the paper
 //! workflows, every shipped spec, sweep grids, and proptest-random DAGs.
 
+use crate::calendar::CalendarKind;
 use crate::channel::Sharing;
-use crate::engine::{Engine, Scenario, SimError, SimOptions};
+use crate::engine::{run_scenario, Scenario, SimArena, SimError, SimOptions};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, WorkflowSpec};
@@ -193,15 +194,7 @@ pub fn certify_with_base(
 /// (skips the per-task result maps the full [`crate::simulate`] builds).
 pub fn simulate_makespan(scenario: &Scenario) -> Result<f64, SimError> {
     let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    Engine::new(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-    )
-    .run_makespan()
+    run_scenario(scenario, &base, &mut SimArena::new(), CalendarKind::Buckets)
 }
 
 fn certify_indexed(

@@ -68,7 +68,9 @@ pub enum CalendarKind {
     #[default]
     Buckets,
     /// Binary heap: the pre-calendar-queue implementation, kept as an
-    /// equivalence oracle for tests and benches.
+    /// equivalence oracle for tests and benches (only
+    /// `simulate_with_calendar`, built with them, selects it).
+    #[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
     Heap,
 }
 

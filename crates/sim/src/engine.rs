@@ -530,10 +530,10 @@ impl EngineState {
 }
 
 /// A reusable simulation arena: owns every growable buffer the engine
-/// needs, so repeated [`simulate_in`] / [`simulate_summary_in`] calls
-/// (sweeps, Monte-Carlo batches) stop allocating once the buffers have
-/// grown to the workload's high-water mark. A fresh arena per call is
-/// exactly [`simulate`].
+/// needs, so repeated [`simulate_with_base`] /
+/// [`simulate_summary_with_base`] calls (sweeps, Monte-Carlo batches)
+/// stop allocating once the buffers have grown to the workload's
+/// high-water mark. A fresh arena per call is exactly [`simulate`].
 #[derive(Debug, Default)]
 pub struct SimArena {
     state: EngineState,
@@ -548,7 +548,7 @@ impl SimArena {
 
 /// What a run materializes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunMode {
+pub(crate) enum RunMode {
     /// Full results: a trace span per phase plus per-task maps
     /// ([`SimResult`]).
     #[default]
@@ -559,7 +559,8 @@ pub enum RunMode {
     Summary,
 }
 
-/// Aggregate statistics of a [`RunMode::Summary`] run. Every field is
+/// Aggregate statistics of a summary-mode run
+/// ([`simulate_summary`]). Every field is
 /// bit-identical to the same statistic derived from the corresponding
 /// full [`SimResult`] (enforced by `tests/calendar_props.rs`).
 #[derive(Debug, Clone, PartialEq)]
@@ -612,18 +613,14 @@ pub struct ChannelSummary {
 
 /// Runs the simulation.
 pub fn simulate(scenario: &Scenario) -> Result<SimResult, SimError> {
-    simulate_in(scenario, &mut SimArena::new())
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    simulate_with_base(scenario, &base, &mut SimArena::new())
 }
 
-/// [`simulate`] against a reusable [`SimArena`]: bit-identical results,
-/// no allocation once the arena is warm.
-pub fn simulate_in(scenario: &Scenario, arena: &mut SimArena) -> Result<SimResult, SimError> {
-    run_full(scenario, arena, CalendarKind::Buckets)
-}
-
-/// [`simulate_in`] against a prebuilt [`BaseIndex`] — the resident
-/// server's hot path: an index-cache hit skips spec validation and index
-/// compilation entirely and goes straight to overlay construction.
+/// [`simulate`] against a prebuilt [`BaseIndex`] and a reusable
+/// [`SimArena`] — the resident server's hot path: an index-cache hit
+/// skips spec validation and index compilation entirely and goes
+/// straight to overlay construction, and a warm arena allocates nothing.
 ///
 /// `base` must have been built from this scenario's `(machine,
 /// workflow)` pair (e.g. by [`BaseIndex::build`]); results are undefined
@@ -633,123 +630,101 @@ pub fn simulate_with_base(
     base: &BaseIndex,
     arena: &mut SimArena,
 ) -> Result<SimResult, SimError> {
+    run_scenario(scenario, base, arena, CalendarKind::Buckets)
+}
+
+/// Runs the simulation in summary mode: streaming aggregates only,
+/// O(channels) result memory.
+pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    simulate_summary_with_base(scenario, &base, &mut SimArena::new())
+}
+
+/// [`simulate_summary`] against a prebuilt [`BaseIndex`] and a reusable
+/// [`SimArena`]; same contract as [`simulate_with_base`]. Bit-identical
+/// to [`simulate_summary`].
+pub fn simulate_summary_with_base(
+    scenario: &Scenario,
+    base: &BaseIndex,
+    arena: &mut SimArena,
+) -> Result<SimSummary, SimError> {
+    run_scenario(scenario, base, arena, CalendarKind::Buckets)
+}
+
+/// [`simulate`] with an explicit calendar implementation — the hook the
+/// equivalence oracles use to pin calendar-queue results to the heap's.
+#[cfg(any(test, feature = "reference-engine"))]
+pub fn simulate_with_calendar(
+    scenario: &Scenario,
+    kind: CalendarKind,
+) -> Result<SimResult, SimError> {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    run_scenario(scenario, &base, &mut SimArena::new(), kind)
+}
+
+/// What a run to completion materializes; the output type picks the
+/// engine's [`RunMode`].
+pub(crate) trait RunOutput: Sized {
+    const MODE: RunMode;
+    fn take(engine: &mut Engine<'_>) -> Self;
+}
+
+impl RunOutput for SimResult {
+    const MODE: RunMode = RunMode::Full;
+    fn take(engine: &mut Engine<'_>) -> Self {
+        engine.take_result()
+    }
+}
+
+impl RunOutput for SimSummary {
+    const MODE: RunMode = RunMode::Summary;
+    fn take(engine: &mut Engine<'_>) -> Self {
+        engine.take_summary()
+    }
+}
+
+/// The makespan of a full run, skipping [`Engine::take_result`]'s
+/// per-task maps: identical to the [`SimResult`]'s makespan, and the
+/// bracketing oracle needs it thousands of times per grid.
+impl RunOutput for f64 {
+    const MODE: RunMode = RunMode::Full;
+    fn take(engine: &mut Engine<'_>) -> Self {
+        engine.trace.makespan()
+    }
+}
+
+/// Builds the scenario's overlay on `base` and runs it ([`run_point`]).
+pub(crate) fn run_scenario<T: RunOutput>(
+    scenario: &Scenario,
+    base: &BaseIndex,
+    arena: &mut SimArena,
+    kind: CalendarKind,
+) -> Result<T, SimError> {
     let overlay = IndexOverlay::build(base, &scenario.workflow, &scenario.options)?;
-    run_point_in(
+    run_point(
         &scenario.workflow,
         &scenario.machine.name,
         &scenario.options,
         base,
         &overlay,
         arena,
+        kind,
     )
 }
 
-/// [`simulate_summary_in`] against a prebuilt [`BaseIndex`]; same
-/// contract as [`simulate_with_base`]. Bit-identical to
-/// [`simulate_summary`].
-pub fn simulate_summary_with_base(
-    scenario: &Scenario,
-    base: &BaseIndex,
-    arena: &mut SimArena,
-) -> Result<SimSummary, SimError> {
-    let overlay = IndexOverlay::build(base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        base,
-        &overlay,
-        std::mem::take(&mut arena.state),
-        CalendarKind::Buckets,
-        RunMode::Summary,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_summary()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
-}
-
-/// [`simulate`] with an explicit calendar implementation — the hook the
-/// equivalence oracles use to pin calendar-queue results to the heap's.
-pub fn simulate_with_calendar(
-    scenario: &Scenario,
-    kind: CalendarKind,
-) -> Result<SimResult, SimError> {
-    run_full(scenario, &mut SimArena::new(), kind)
-}
-
-/// Runs the simulation in [`RunMode::Summary`]: streaming aggregates
-/// only, O(channels) result memory.
-pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
-    simulate_summary_in(scenario, &mut SimArena::new())
-}
-
-/// [`simulate_summary`] against a reusable [`SimArena`].
-pub fn simulate_summary_in(
-    scenario: &Scenario,
-    arena: &mut SimArena,
-) -> Result<SimSummary, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-        std::mem::take(&mut arena.state),
-        CalendarKind::Buckets,
-        RunMode::Summary,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_summary()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
-}
-
-fn run_full(
-    scenario: &Scenario,
-    arena: &mut SimArena,
-    kind: CalendarKind,
-) -> Result<SimResult, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-        std::mem::take(&mut arena.state),
-        kind,
-        RunMode::Full,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_result()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
-}
-
-/// Runs one prebuilt `(base, overlay)` point to completion against a
-/// reusable arena — the incremental sweep's cold path. Bit-identical to
-/// constructing a fresh [`Engine`] (same default calendar, same mode).
-pub(crate) fn run_point_in(
+/// The one run-to-completion path: a fresh engine over the arena's
+/// recycled buffers, run to the end, materialized as `T`, buffers
+/// handed back to the arena. Every full, summary and makespan-only run
+/// goes through here.
+pub(crate) fn run_point<T: RunOutput>(
     workflow: &WorkflowSpec,
     machine_name: &str,
     opts: &SimOptions,
     base: &BaseIndex,
     overlay: &IndexOverlay,
     arena: &mut SimArena,
-) -> Result<SimResult, SimError> {
+    kind: CalendarKind,
+) -> Result<T, SimError> {
     let mut engine = Engine::new_in(
         workflow,
         machine_name,
@@ -757,14 +732,10 @@ pub(crate) fn run_point_in(
         base,
         overlay,
         std::mem::take(&mut arena.state),
-        CalendarKind::default(),
-        RunMode::Full,
+        kind,
+        T::MODE,
     );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_result()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
+    let result = engine.finish();
     arena.state = engine.recycle();
     result
 }
@@ -1397,40 +1368,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs to completion.
-    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
+    /// Runs an unpaused engine to completion and materializes `T`. A
+    /// checkpoint from [`Engine::pause_at`] must go through
+    /// [`Engine::resume_with`] first, which clears the pause.
+    pub(crate) fn finish<T: RunOutput>(&mut self) -> Result<T, SimError> {
         match self.advance()? {
-            Outcome::Done => Ok(self.take_result()),
-            Outcome::Paused => unreachable!("run() is never called with stop_iter set"),
-        }
-    }
-
-    /// Runs to completion but materializes only the makespan, skipping
-    /// [`Engine::take_result`]'s per-task map construction. The value is
-    /// identical to `run()?.makespan`; the bracketing oracle calls this
-    /// thousands of times per grid, so the maps would dominate.
-    pub(crate) fn run_makespan(mut self) -> Result<f64, SimError> {
-        match self.advance()? {
-            Outcome::Done => Ok(self.trace.makespan()),
-            Outcome::Paused => {
-                unreachable!("run_makespan() is never called with stop_iter set")
-            }
+            Outcome::Done => Ok(T::take(self)),
+            Outcome::Paused => unreachable!("finish() is never called with stop_iter set"),
         }
     }
 
     /// Runs to completion, also reporting the loop iteration of the
     /// first watched-channel join (see [`Engine::with_watch`]).
     pub(crate) fn run_watched(mut self) -> (Result<SimResult, SimError>, Option<u64>) {
-        match self.advance() {
-            Err(e) => {
-                let hit = self.watch_hit;
-                (Err(e), hit)
-            }
-            Ok(_) => {
-                let hit = self.watch_hit;
-                (Ok(self.take_result()), hit)
-            }
-        }
+        let result = self.finish();
+        (result, self.watch_hit)
     }
 
     /// Runs loop bodies `0..iter` and pauses, returning the checkpointed

@@ -41,13 +41,12 @@
 //! trace span *order* within one completion instant may differ between
 //! paths; the `Trace` contract leaves that order unspecified.
 
-use crate::engine::{
-    run_point_in, Engine, Scenario, SchedulerPolicy, SimArena, SimError, SimResult,
-};
+use crate::calendar::CalendarKind;
+use crate::engine::{run_point, Engine, Scenario, SchedulerPolicy, SimArena, SimError, SimResult};
 use crate::fastpath::try_fastpath;
 use crate::index::BaseIndex;
 use crate::overlay::IndexOverlay;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::sweep::par_map_ordered;
 
 /// The cross product a sweep evaluates: `factors x node_limits x
 /// policies`, applied to a base scenario.
@@ -217,57 +216,18 @@ pub fn sweep_grid_with_base(
         .flat_map(|ni| (0..grid.policies.len()).map(move |pi| (ni, pi)))
         .collect();
 
-    let workers = crate::sweep::effective_workers(threads, columns.len());
+    // One arena per worker: cold DES runs across all of this worker's
+    // columns share warmed buffers.
+    let per_column = par_map_ordered(columns.len(), 1, threads, SimArena::new, |arena, c| {
+        let (ni, pi) = columns[c];
+        sweep_column(scenario, grid, base, ni, pi, arena)
+    });
     let mut results: Vec<Option<Result<SimResult, SimError>>> = (0..n).map(|_| None).collect();
     let mut stats = SweepStats::default();
-
-    if workers == 1 {
-        let mut arena = SimArena::new();
-        for &(ni, pi) in &columns {
-            let (out, col_stats) = sweep_column(scenario, grid, base, ni, pi, &mut arena);
-            stats.absorb(col_stats);
-            for (i, r) in out {
-                results[i] = Some(r);
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let worker_outputs = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut out = Vec::new();
-                        let mut local = SweepStats::default();
-                        // One arena per worker: cold DES runs across all
-                        // of this worker's columns share warmed buffers.
-                        let mut arena = SimArena::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= columns.len() {
-                                break;
-                            }
-                            let (ni, pi) = columns[c];
-                            let (col, col_stats) =
-                                sweep_column(scenario, grid, base, ni, pi, &mut arena);
-                            local.absorb(col_stats);
-                            out.extend(col);
-                        }
-                        (out, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        for joined in worker_outputs {
-            let (out, local) = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            stats.absorb(local);
-            for (i, r) in out {
-                results[i] = Some(r);
-            }
+    for (out, col_stats) in per_column {
+        stats.absorb(col_stats);
+        for (i, r) in out {
+            results[i] = Some(r);
         }
     }
 
@@ -359,17 +319,18 @@ pub fn sweep_column(
                         }
                         DesState::Paused(p) => {
                             stats.replayed += 1;
-                            p.resume_with(ov).run()
+                            p.resume_with(ov).finish()
                         }
                         DesState::Cold => {
                             stats.cold += 1;
-                            run_point_in(
+                            run_point(
                                 &scenario.workflow,
                                 &scenario.machine.name,
                                 opts,
                                 base,
                                 ov,
                                 arena,
+                                CalendarKind::Buckets,
                             )
                         }
                     }

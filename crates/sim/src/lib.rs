@@ -60,21 +60,24 @@ pub use bounds::{
     certify, certify_scenario, certify_with_base, simulate_makespan, Certificate, ChannelFloor,
     TaskBound, TermBound,
 };
+#[cfg(any(test, feature = "reference-engine"))]
 pub use calendar::CalendarKind;
 pub use channel::{
     equal_split_rates, equal_split_rates_into, max_min_rates, max_min_rates_into, FlowDemand,
     FlowRate, RateScratch, Sharing,
 };
+#[cfg(any(test, feature = "reference-engine"))]
+pub use engine::simulate_with_calendar;
 pub use engine::{
-    simulate, simulate_in, simulate_summary, simulate_summary_in, simulate_summary_with_base,
-    simulate_with_base, simulate_with_calendar, BackgroundFlow, ChannelSummary, Jitter, RunMode,
-    Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BackgroundFlow,
+    ChannelSummary, Jitter, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult,
+    SimSummary,
 };
 pub use incremental::{
     sweep_column, sweep_grid, sweep_grid_with_base, IndexedResult, SweepGrid, SweepOutcome,
     SweepStats,
 };
 pub use index::BaseIndex;
-pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile, RepClaim};
+pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile};
 pub use spec::{Phase, PhaseDist, SpecError, TaskSpec, WorkflowSpec};
-pub use sweep::{effective_workers, run_all, run_all_chunked, sweep, ChunkClaim};
+pub use sweep::{effective_workers, run_all, ChunkClaim};

@@ -1,21 +1,23 @@
-//! Parallel scenario sweeps: run many simulations across OS threads.
+//! Parallel fan-out: run many independent work items across OS threads.
 //!
 //! Parameter sweeps (CosmoFlow's instance scaling, contention sweeps,
-//! scheduler ablations, the `wrm sweep` grids) are embarrassingly
-//! parallel; this driver fans scenarios out over a crossbeam scope with
-//! a work-stealing chunk index. Each worker accumulates `(index,
-//! result)` pairs in its own vector — there is no shared results lock —
-//! and the driver merges them once at join time. A panic in any worker
-//! (including one raised by a user closure in [`sweep`]) is re-raised on
+//! scheduler ablations, the `wrm sweep` grids, Monte-Carlo batches) are
+//! embarrassingly parallel. `par_map_ordered` is the one executor
+//! they all share: workers in a crossbeam scope claim chunks of item
+//! indices off a [`ChunkClaim`], each accumulates `(index, output)`
+//! pairs in its own vector — there is no shared results lock — and the
+//! caller merges them in index order at join time, so the output is the
+//! same at every thread count. A panic in any worker is re-raised on
 //! the caller thread with its original payload.
 
-use crate::engine::{simulate_in, Scenario, SimArena, SimError, SimResult};
+use crate::engine::{simulate_with_base, Scenario, SimArena, SimError, SimResult};
+use crate::index::BaseIndex;
 use wrm_mc::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default number of scenarios a worker claims per counter increment.
-/// Small enough to balance uneven scenario costs, large enough that the
+/// Scenarios a [`run_all`] worker claims per counter increment. Small
+/// enough to balance uneven scenario costs, large enough that the
 /// atomic counter is not contended for sub-millisecond simulations.
-const DEFAULT_CHUNK: usize = 4;
+const SCENARIO_CHUNK: usize = 4;
 
 /// Resolves a requested thread count to the worker count actually
 /// spawned for `jobs` work units.
@@ -37,9 +39,9 @@ pub fn effective_workers(requested: usize, jobs: usize) -> usize {
     want.min(jobs).max(1)
 }
 
-/// The sweep's work-stealing column claimer: a shared cursor over
+/// `par_map_ordered`'s work-stealing claimer: a shared cursor over
 /// `total` work items, handed out in chunks of `chunk` consecutive
-/// indices per atomic increment. Extracted from the sweep loop (and
+/// indices per atomic increment. Kept apart from the executor (and
 /// built on the `wrm_mc` facade) so the model checker can verify the
 /// claiming protocol: every index is claimed exactly once, no matter
 /// how the workers interleave.
@@ -64,8 +66,8 @@ impl ChunkClaim {
     /// Claims the next chunk; `None` once the range is exhausted. The
     /// single fetch-add makes each index the property of exactly one
     /// caller (Relaxed suffices: uniqueness comes from the RMW's
-    /// atomicity, and the scenarios read through the indices are
-    /// shared immutably).
+    /// atomicity, and the inputs read through the indices are shared
+    /// immutably).
     pub fn next_range(&self) -> Option<std::ops::Range<usize>> {
         let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
         if lo >= self.total {
@@ -75,49 +77,42 @@ impl ChunkClaim {
     }
 }
 
-/// Runs every scenario, using up to `threads` worker threads, and
-/// returns the results in input order.
+/// Maps `f` over the indices `0..total` on up to `threads` workers
+/// and returns the outputs in index order.
 ///
-/// `threads == 0` means auto (one worker per available CPU); `1` runs
-/// inline; explicit counts are capped at the available parallelism
-/// ([`effective_workers`]). If a worker panics, the panic is propagated
-/// to the caller with its original payload.
-pub fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<SimResult, SimError>> {
-    run_all_chunked(scenarios, threads, DEFAULT_CHUNK)
-}
-
-/// [`run_all`] with an explicit work-stealing chunk size: each worker
-/// claims `chunk` consecutive scenarios per atomic increment. `chunk ==
-/// 1` maximizes balance; larger chunks amortize counter traffic when
-/// individual simulations are very cheap. `chunk == 0` is treated as 1.
-pub fn run_all_chunked(
-    scenarios: &[Scenario],
-    threads: usize,
+/// Each worker builds its own state with `init` (a warmed arena, a
+/// patchable index clone) and claims `chunk` consecutive indices per
+/// [`ChunkClaim`] increment (`chunk == 0` is treated as 1). `threads`
+/// resolves through [`effective_workers`]; one worker runs inline on
+/// the caller thread. A worker panic is re-raised on the caller with
+/// its original payload.
+pub(crate) fn par_map_ordered<S, T, I, F>(
+    total: usize,
     chunk: usize,
-) -> Vec<Result<SimResult, SimError>> {
-    if scenarios.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(threads, scenarios.len());
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let workers = effective_workers(threads, total);
     if workers == 1 {
-        let mut arena = SimArena::new();
-        return scenarios
-            .iter()
-            .map(|s| simulate_in(s, &mut arena))
-            .collect();
+        let mut state = init();
+        return (0..total).map(|i| f(&mut state, i)).collect();
     }
-    let claim = ChunkClaim::new(scenarios.len(), chunk);
+    let claim = ChunkClaim::new(total, chunk);
     let worker_outputs = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|_| {
-                    let mut out: Vec<(usize, Result<SimResult, SimError>)> = Vec::new();
-                    // One arena per worker: every simulation after the
-                    // first reuses the warmed buffers.
-                    let mut arena = SimArena::new();
+                    let mut state = init();
+                    let mut out = Vec::new();
                     while let Some(range) = claim.next_range() {
                         for i in range {
-                            out.push((i, simulate_in(&scenarios[i], &mut arena)));
+                            out.push((i, f(&mut state, i)));
                         }
                     }
                     out
@@ -131,34 +126,46 @@ pub fn run_all_chunked(
     })
     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
-    let mut results: Vec<Option<Result<SimResult, SimError>>> =
-        (0..scenarios.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     for joined in worker_outputs {
         let out = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        for (i, r) in out {
-            results[i] = Some(r);
+        for (i, t) in out {
+            slots[i] = Some(t);
         }
     }
-    results
+    slots
         .into_iter()
-        .map(|r| r.expect("every index was simulated"))
+        .map(|t| t.expect("every index was claimed"))
         .collect()
 }
 
-/// Sweeps one scenario over a parameter, building each variant with
-/// `make`, in parallel. A panicking `make` closure unwinds on the caller
-/// thread before any worker starts, so it cannot poison the driver.
-pub fn sweep<P: Sync, F>(params: &[P], threads: usize, make: F) -> Vec<Result<SimResult, SimError>>
-where
-    F: Fn(&P) -> Scenario + Sync,
-{
-    let scenarios: Vec<Scenario> = params.iter().map(&make).collect();
-    run_all(&scenarios, threads)
+/// Runs every scenario, using up to `threads` worker threads, and
+/// returns the results in input order.
+///
+/// `threads == 0` means auto (one worker per available CPU); `1` runs
+/// inline; explicit counts are capped at the available parallelism
+/// ([`effective_workers`]). If a worker panics, the panic is propagated
+/// to the caller with its original payload.
+pub fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<SimResult, SimError>> {
+    // One arena per worker: every simulation after the first reuses the
+    // warmed buffers.
+    par_map_ordered(
+        scenarios.len(),
+        SCENARIO_CHUNK,
+        threads,
+        SimArena::new,
+        |arena, i| {
+            let s = &scenarios[i];
+            let base = BaseIndex::build(&s.machine, &s.workflow)?;
+            simulate_with_base(s, &base, arena)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use wrm_core::machines;
 
@@ -170,46 +177,52 @@ mod tests {
         Scenario::new(machines::perlmutter_cpu(), wf)
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let scenarios: Vec<Scenario> = (1..10).map(scenario).collect();
-        let serial = run_all(&scenarios, 1);
-        let parallel = run_all(&scenarios, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            let s = s.as_ref().unwrap();
-            let p = p.as_ref().unwrap();
-            assert_eq!(s.makespan, p.makespan);
-            assert_eq!(s.trace, p.trace);
+    fn assert_same(a: &[Result<SimResult, SimError>], b: &[Result<SimResult, SimError>]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.makespan, b.makespan);
+            assert_eq!(a.trace, b.trace);
         }
     }
 
     #[test]
-    fn chunk_sizes_do_not_change_results() {
+    fn parallel_matches_serial() {
         let scenarios: Vec<Scenario> = (1..20).map(scenario).collect();
-        let baseline = run_all_chunked(&scenarios, 1, 1);
-        for chunk in [0, 1, 3, 64] {
-            let chunked = run_all_chunked(&scenarios, 4, chunk);
-            assert_eq!(chunked.len(), baseline.len());
-            for (a, b) in baseline.iter().zip(chunked.iter()) {
-                assert_eq!(a.as_ref().unwrap().makespan, b.as_ref().unwrap().makespan);
+        let serial = run_all(&scenarios, 1);
+        for threads in [1, 2, 4] {
+            assert_same(&serial, &run_all(&scenarios, threads));
+            for chunk in [0, 1, 3, 64] {
+                let chunked = par_map_ordered(
+                    scenarios.len(),
+                    chunk,
+                    threads,
+                    SimArena::new,
+                    |arena, i| {
+                        let s = &scenarios[i];
+                        simulate_with_base(s, &BaseIndex::build(&s.machine, &s.workflow)?, arena)
+                    },
+                );
+                assert_same(&serial, &chunked);
             }
         }
     }
 
     #[test]
-    fn sweep_builds_variants() {
-        let params: Vec<usize> = vec![1, 2, 3, 4];
-        let results = sweep(&params, 2, |&n| scenario(n));
-        for (i, r) in results.iter().enumerate() {
-            let r = r.as_ref().unwrap();
-            assert_eq!(r.task_times.len(), params[i]);
+    fn chunk_claim_is_exhaustive_inline() {
+        let claim = ChunkClaim::new(5, 2);
+        let mut all = Vec::new();
+        while let Some(r) = claim.next_range() {
+            all.extend(r);
         }
+        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        assert_eq!(claim.next_range(), None);
     }
 
     #[test]
     fn empty_input() {
         assert!(run_all(&[], 8).is_empty());
+        assert!(par_map_ordered(0, 1, 4, || (), |(), i| i).is_empty());
     }
 
     #[test]
@@ -229,12 +242,7 @@ mod tests {
     #[test]
     fn auto_threads_matches_serial() {
         let scenarios: Vec<Scenario> = (1..6).map(scenario).collect();
-        let serial = run_all(&scenarios, 1);
-        let auto = run_all(&scenarios, 0);
-        for (s, a) in serial.iter().zip(auto.iter()) {
-            assert_eq!(s.as_ref().unwrap().makespan, a.as_ref().unwrap().makespan);
-            assert_eq!(s.as_ref().unwrap().trace, a.as_ref().unwrap().trace);
-        }
+        assert_same(&run_all(&scenarios, 1), &run_all(&scenarios, 0));
     }
 
     #[test]
@@ -246,27 +254,33 @@ mod tests {
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert!(results[2].is_ok());
+        assert_eq!(results[1], simulate(&scenarios[1]));
     }
 
     #[test]
-    fn panicking_make_does_not_poison_or_deadlock() {
-        // A panicking `make` closure must unwind cleanly out of sweep()…
-        let params: Vec<usize> = vec![1, 2, 3];
+    fn worker_panic_keeps_payload_and_executor_recovers() {
+        // A panic inside a worker must reach the caller with its
+        // original payload…
         let caught = std::panic::catch_unwind(|| {
-            sweep(&params, 2, |&n| {
-                assert!(n != 2, "boom at {n}");
-                scenario(n)
-            })
+            par_map_ordered(
+                8,
+                1,
+                2,
+                || (),
+                |(), i| {
+                    assert!(i != 5, "boom at {i}");
+                    i
+                },
+            )
         });
-        let payload = caught.expect_err("sweep must propagate the panic");
+        let payload = caught.expect_err("the worker panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
-        assert!(msg.contains("boom at 2"), "payload: {msg}");
-        // …and the driver must still work afterwards.
-        let results = sweep(&params, 2, |&n| scenario(n));
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(Result::is_ok));
+        assert!(msg.contains("boom at 5"), "payload: {msg}");
+        // …and the executor must still work afterwards.
+        let out = par_map_ordered(8, 1, 2, || (), |(), i| i);
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
     }
 }

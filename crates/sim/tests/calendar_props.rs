@@ -17,14 +17,22 @@
 //! interval merging, which may legitimately differ in the last ulp at
 //! touching interval boundaries, so those two carry a 1e-9 relative
 //! tolerance.
+//!
+//! The prebuilt-base entry points ([`wrm_sim::simulate_with_base`],
+//! [`wrm_sim::simulate_summary_with_base`], the resident server's path)
+//! are one more input to the same oracle: on a [`BaseIndex`] built once
+//! per case and one warm arena shared by every case, they must equal
+//! `simulate` / `simulate_summary` bit for bit, errors included.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
 use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::{fork_join_tasks, random_layered_tasks};
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
-    simulate, simulate_summary, simulate_with_calendar, CalendarKind, Phase, Scenario,
-    SchedulerPolicy, SimOptions, SimResult, TaskSpec, WorkflowSpec,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base,
+    simulate_with_calendar, BaseIndex, CalendarKind, Phase, Scenario, SchedulerPolicy, SimArena,
+    SimError, SimOptions, SimResult, SimSummary, TaskSpec, WorkflowSpec,
 };
 use wrm_trace::SpanKind;
 
@@ -175,13 +183,42 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) {
     }
 }
 
-/// Runs one scenario through all three engines plus summary mode and
-/// asserts full equivalence.
+thread_local! {
+    /// One arena per test thread, reused by every case the thread runs,
+    /// so engine state a run fails to reset leaks into the next case.
+    static ARENA: RefCell<SimArena> = RefCell::new(SimArena::new());
+}
+
+/// The prebuilt-base path: build the index once, then run the full and
+/// summary engines against it on the thread's warm arena.
+fn run_with_base(
+    scenario: &Scenario,
+) -> (Result<SimResult, SimError>, Result<SimSummary, SimError>) {
+    match BaseIndex::build(&scenario.machine, &scenario.workflow) {
+        Err(e) => (Err(e.clone()), Err(e)),
+        Ok(base) => ARENA.with_borrow_mut(|arena| {
+            (
+                simulate_with_base(scenario, &base, arena),
+                simulate_summary_with_base(scenario, &base, arena),
+            )
+        }),
+    }
+}
+
+/// Runs one scenario through all three engines, the prebuilt-base path
+/// and summary mode, and asserts full equivalence.
 fn assert_equivalent(scenario: &Scenario, what: &str) {
     let buckets = simulate_with_calendar(scenario, CalendarKind::Buckets);
     let heap = simulate_with_calendar(scenario, CalendarKind::Heap);
     let default = simulate(scenario);
     let reference = simulate_reference(scenario);
+    let (prebuilt, prebuilt_summary) = run_with_base(scenario);
+    assert_eq!(prebuilt, default, "{what}: prebuilt base vs simulate");
+    assert_eq!(
+        prebuilt_summary,
+        simulate_summary(scenario),
+        "{what}: prebuilt base vs simulate_summary"
+    );
     match (buckets, heap, default, reference) {
         (Ok(b), Ok(h), Ok(d), Ok(r)) => {
             assert_eq!(b, h, "{what}: calendar queue vs heap");
