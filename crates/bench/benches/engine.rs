@@ -9,6 +9,7 @@ use wrm_bench::{
     sweep_scenario,
 };
 use wrm_core::Dist;
+use wrm_sim::oracle::canonicalize;
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
     max_min_rates, mc_run, run_all, simulate, simulate_summary, simulate_summary_with_base,
@@ -145,19 +146,6 @@ fn grid_scenarios(base: &Scenario, grid: &SweepGrid) -> Vec<Scenario> {
     out
 }
 
-/// Span order within one completion instant is the single
-/// representation detail the evaluation paths may legitimately differ
-/// in; sort it away and compare everything else exactly.
-fn canonical(mut r: SimResult) -> SimResult {
-    r.trace.spans.sort_by(|a, b| {
-        a.task
-            .cmp(&b.task)
-            .then(a.start.total_cmp(&b.start))
-            .then(a.end.total_cmp(&b.end))
-    });
-    r
-}
-
 /// Asserts the incremental sweep matches cold per-point simulation on
 /// every grid point, bit for bit.
 fn assert_incremental_matches_cold(base: &Scenario, grid: &SweepGrid) -> wrm_sim::SweepStats {
@@ -167,8 +155,8 @@ fn assert_incremental_matches_cold(base: &Scenario, grid: &SweepGrid) -> wrm_sim
     for (i, (a, b)) in outcome.results.iter().zip(&cold).enumerate() {
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(
-                canonical(x.clone()),
-                canonical(y.clone()),
+                canonicalize(x.clone()),
+                canonicalize(y.clone()),
                 "incremental diverges from cold at grid point {i}"
             ),
             (Err(x), Err(y)) => assert_eq!(x, y, "error mismatch at grid point {i}"),

@@ -25,8 +25,6 @@
 //!     --threads N                       workers (0 = one per CPU; values
 //!                                       above the host core count are capped)
 //!     --format json|jsonl|csv           output format
-//!     --no-incremental                  per-point simulation (the default
-//!                                       incremental engine is bit-identical)
 //!     --out <file>                      write rows to a file
 //!     --quiet                           suppress the stderr stats line
 //! wrm certify <file.wrm>                print the two-sided makespan
@@ -123,13 +121,13 @@ fn usage() -> &'static str {
      \x20                                    any thread count\n\
      \x20 sweep <file.wrm|builtin> [--resource R --factors 1.0,0.5]\n\
      \x20       [--nodes 64,128] [--policies fifo,backfill] [--threads N]\n\
-     \x20       [--format json|jsonl|csv] [--out file] [--no-incremental]\n\
+     \x20       [--format json|jsonl|csv] [--out file]\n\
      \x20       [--quiet]                    simulate a parameter grid in\n\
      \x20                                    parallel (builtins: lcls, bgw,\n\
      \x20                                    cosmoflow, gptune-rci, gptune-spawn);\n\
-     \x20                                    the incremental engine (default)\n\
-     \x20                                    shares index/prefix work across\n\
-     \x20                                    the grid, bit-identically;\n\
+     \x20                                    the incremental engine shares\n\
+     \x20                                    index/prefix work across the\n\
+     \x20                                    grid, bit-identically;\n\
      \x20                                    --threads 0 (default) = one per\n\
      \x20                                    CPU, explicit values capped at\n\
      \x20                                    the host core count\n\
@@ -192,7 +190,6 @@ struct Flags {
     nodes: Vec<u64>,
     policies: Vec<wrm_sim::SchedulerPolicy>,
     threads: usize,
-    incremental: bool,
     quiet: bool,
     addr: String,
     cache_capacity: usize,
@@ -227,7 +224,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         nodes: Vec::new(),
         policies: Vec::new(),
         threads: 0,
-        incremental: true,
         quiet: false,
         addr: "127.0.0.1:8080".into(),
         cache_capacity: 32,
@@ -303,8 +299,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let v = value(&mut i)?;
                 f.threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
             }
-            "--incremental" => f.incremental = true,
-            "--no-incremental" => f.incremental = false,
             "--reps" => {
                 let v = value(&mut i)?;
                 f.reps = v

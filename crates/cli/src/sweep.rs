@@ -2,22 +2,21 @@
 //!
 //! Builds the cartesian grid of contention factor x node limit x
 //! scheduler policy and simulates every cell, printing one row per cell
-//! as JSON, JSON lines, or CSV. By default the grid runs on the
-//! incremental sweep engine (`wrm_sim::sweep_grid`) — one shared base
-//! index, an analytic fast path for uncontended cells, and
-//! checkpoint/replay along the factor axis — which is bit-identical to
-//! per-point simulation; `--no-incremental` forces the per-point runner
-//! (`wrm_sim::run_all`). Scenario errors land in the row's `error`
-//! column instead of aborting the whole sweep.
+//! as JSON, JSON lines, or CSV. The grid runs on the incremental sweep
+//! engine (`wrm_sim::sweep_grid`) — one shared base index, an analytic
+//! fast path for uncontended cells, and checkpoint/replay along the
+//! factor axis — which is bit-identical to per-point simulation (the
+//! `sweep` pair of the oracle harness checks it). Scenario errors land
+//! in the row's `error` column instead of aborting the whole sweep.
 //!
 //! Grid construction and row formatting live in `wrm_serve::render` —
 //! the same functions the server streams `POST /v1/sweep` responses
 //! with — so output rows are always in canonical coordinate order and
-//! the bytes are identical regardless of `--threads`, `--incremental`,
-//! input axis order, or which front end produced them.
+//! the bytes are identical regardless of `--threads`, input axis order,
+//! or which front end produced them.
 
 use wrm_serve::render;
-use wrm_sim::{run_all, Scenario};
+use wrm_sim::Scenario;
 
 use crate::Flags;
 
@@ -57,24 +56,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     )?;
     let cells = render::grid_cells(&grid);
 
-    let (results, stats) = if flags.incremental {
-        let outcome = wrm_sim::sweep_grid(&base, &grid, flags.threads);
-        (outcome.results, Some(outcome.stats))
-    } else {
-        let scenarios: Vec<Scenario> = (0..grid.factors.len())
-            .flat_map(|fi| {
-                let base = &base;
-                let grid = &grid;
-                (0..grid.node_limits.len()).flat_map(move |ni| {
-                    (0..grid.policies.len()).map(move |pi| {
-                        base.clone()
-                            .with_options(grid.point_options(&base.options, fi, ni, pi))
-                    })
-                })
-            })
-            .collect();
-        (run_all(&scenarios, flags.threads), None)
-    };
+    let wrm_sim::SweepOutcome { results, stats } = wrm_sim::sweep_grid(&base, &grid, flags.threads);
 
     let workflow = base.workflow.name.as_str();
     let machine = base.machine.name.as_str();
@@ -127,30 +109,20 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // worker count reported is the resolved one (0 = auto, explicit
     // values capped at the host core count and the job count).
     if !flags.quiet {
-        let jobs = if flags.incremental {
-            // The incremental engine parallelizes over (node, policy)
-            // columns, replaying the factor axis within each.
-            grid.node_limits.len() * grid.policies.len()
-        } else {
-            cells.len()
-        };
+        // The incremental engine parallelizes over (node, policy)
+        // columns, replaying the factor axis within each.
+        let jobs = grid.node_limits.len() * grid.policies.len();
         let workers = wrm_sim::effective_workers(flags.threads, jobs);
-        let engine = match &stats {
-            Some(s) => format!(
-                "incremental: {} analytic, {} replayed, {} cold, {} reused, {} error(s)",
-                s.fastpath, s.replayed, s.cold, s.reused, s.errors
-            ),
-            None => "per-point".to_owned(),
-        };
+        let engine = format!(
+            "incremental: {} analytic, {} replayed, {} cold, {} reused, {} error(s)",
+            stats.fastpath, stats.replayed, stats.cold, stats.reused, stats.errors
+        );
+        let rows = cells.len();
         match &flags.out {
-            Some(path) => eprintln!(
-                "wrote {} sweep row(s) to {path} ({workers} thread(s); {engine})",
-                cells.len()
-            ),
-            None => eprintln!(
-                "swept {} row(s) ({workers} thread(s); {engine})",
-                cells.len()
-            ),
+            Some(path) => {
+                eprintln!("wrote {rows} sweep row(s) to {path} ({workers} thread(s); {engine})");
+            }
+            None => eprintln!("swept {rows} row(s) ({workers} thread(s); {engine})"),
         }
     }
     Ok(())

@@ -32,21 +32,20 @@ use wrm_sim::{certify, Certificate, SimOptions};
 /// Matches the engine-parity tolerance used by W007/W009.
 const TOL: f64 = 1e-9;
 
-/// Runs every certificate-backed rule. Returns `true` when E010 fired,
-/// so the caller can suppress the weaker W009.
-pub fn certified_interval(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) -> bool {
-    let (Some(machine), Some(compiled)) = (ctx.machine.as_ref(), ctx.compiled.as_ref()) else {
-        return false;
-    };
-    let options = SimOptions::default();
-    // Scenarios the simulator rejects (e.g. unknown resources, already
-    // surfaced as W001) have no certificate; stay quiet.
-    let Ok(cert) = certify(machine, &compiled.spec, &options) else {
-        return false;
-    };
-    channel_independent(ctx, &cert, out);
-    overprovisioned(ctx, machine, compiled, &options, &cert, out);
-    target_interval(ctx, &cert, out)
+/// The certificate every rule of this pass reads. `None` without a
+/// compiled spec on a machine, and for scenarios the simulator rejects
+/// (e.g. unknown resources, already surfaced as W001): those stay quiet.
+pub(crate) fn certificate(ctx: &AnalysisContext) -> Option<Certificate> {
+    let (machine, compiled) = (ctx.machine.as_ref()?, ctx.compiled.as_ref()?);
+    certify(machine, &compiled.spec, &SimOptions::default()).ok()
+}
+
+/// W011 and W012, the warning-only rules over `cert`.
+pub(crate) fn channel_rules(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diagnostic>) {
+    channel_independent(ctx, cert, out);
+    if let (Some(machine), Some(compiled)) = (ctx.machine.as_ref(), ctx.compiled.as_ref()) {
+        overprovisioned(ctx, machine, compiled, &SimOptions::default(), cert, out);
+    }
 }
 
 /// W012: the certified lower bound survives zeroing every channel.
@@ -149,7 +148,11 @@ fn overprovisioned(
 
 /// W010/E010 against the declared makespan target. Returns `true` when
 /// E010 fired.
-fn target_interval(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diagnostic>) -> bool {
+pub(crate) fn target_interval(
+    ctx: &AnalysisContext,
+    cert: &Certificate,
+    out: &mut Vec<Diagnostic>,
+) -> bool {
     let Some((target, target_span)) = ctx.ir.makespan else {
         return false;
     };

@@ -27,6 +27,7 @@ use crate::ir::AnalysisIr;
 use wrm_core::{Machine, RooflineModel};
 use wrm_lang::ast::WorkflowAst;
 use wrm_lang::Compiled;
+use wrm_sim::Certificate;
 
 /// Everything the passes share, built once per lint run.
 pub struct AnalysisContext {
@@ -69,14 +70,33 @@ impl AnalysisContext {
     }
 }
 
-/// Runs every analyzer pass.
+/// Runs every analyzer pass: [`run_errors`], then the warning-only
+/// passes, which reuse its certificate.
 pub fn run(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
-    structure::unreachable_tasks(ctx, out);
+    let (cert, e010_fired) = run_errors(ctx, out);
     structure::redundant_edges(ast, ctx, out);
     channels::unsaturable(ctx, out);
     channels::starved(ctx, out);
-    let e010_fired = bounds::certified_interval(ctx, out);
+    if let Some(cert) = &cert {
+        bounds::channel_rules(ctx, cert, out);
+    }
     makespan::interval_bound(ctx, out, e010_fired);
+}
+
+/// Runs the passes that can emit an error code — E009 and E010 (with
+/// its sibling W010) — and nothing else; the lint error gate stops
+/// here. Returns the certificate, when the spec has one, and whether
+/// E010 fired.
+pub(crate) fn run_errors(
+    ctx: &AnalysisContext,
+    out: &mut Vec<Diagnostic>,
+) -> (Option<Certificate>, bool) {
+    structure::unreachable_tasks(ctx, out);
+    let cert = bounds::certificate(ctx);
+    let e010_fired = cert
+        .as_ref()
+        .is_some_and(|c| bounds::target_interval(ctx, c, out));
+    (cert, e010_fired)
 }
 
 /// Human-readable bytes/s for diagnostics ("1.50 GB/s").

@@ -241,6 +241,26 @@ pub fn lint_source(source: &str) -> Vec<Diagnostic> {
 /// passes. Diagnostics come back sorted by source position, then code,
 /// then message — a total order, so output is deterministic.
 pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
+    let (ctx, mut out) = check_rules(ast);
+    check_targets(ast, &ctx, &mut out);
+    passes::run(ast, &ctx, &mut out);
+    sorted(out)
+}
+
+/// Only the error-severity findings — what `analyze`/`simulate` gate on
+/// before compiling. Equal to [`lint_ast`] filtered to errors, but of
+/// the analyzer passes it runs only those that can emit an error code,
+/// skipping warning-only work such as W006's transitive reduction.
+pub fn lint_errors(ast: &WorkflowAst) -> Vec<Diagnostic> {
+    let (ctx, mut out) = check_rules(ast);
+    passes::run_errors(&ctx, &mut out);
+    out.retain(|d| d.severity == Severity::Error);
+    sorted(out)
+}
+
+/// Runs the semantic rules, then lowers the workflow for the analyzer
+/// passes (compiling it only when no rule found an error).
+fn check_rules(ast: &WorkflowAst) -> (passes::AnalysisContext, Vec<Diagnostic>) {
     let machine = resolve_machine(ast);
     let mut out = Vec::new();
 
@@ -255,10 +275,14 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
     }
     check_unused_machines(ast, &mut out);
     let has_errors = out.iter().any(|d| d.severity == Severity::Error);
-    let ctx = passes::AnalysisContext::build(ast, machine, has_errors);
-    check_targets(ast, &ctx, &mut out);
-    passes::run(ast, &ctx, &mut out);
+    (
+        passes::AnalysisContext::build(ast, machine, has_errors),
+        out,
+    )
+}
 
+/// Sorts diagnostics into the total order `(span, code, message)`.
+fn sorted(mut out: Vec<Diagnostic>) -> Vec<Diagnostic> {
     // Every AST span now carries a position; a 0:0 diagnostic here means
     // a rule fabricated a span instead of taking it from the source.
     debug_assert!(
@@ -268,15 +292,6 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
     );
     out.sort_by(|a, b| (a.span, &a.code, &a.message).cmp(&(b.span, &b.code, &b.message)));
     out
-}
-
-/// Only the error-severity findings — what `analyze`/`simulate` gate on
-/// before compiling.
-pub fn lint_errors(ast: &WorkflowAst) -> Vec<Diagnostic> {
-    lint_ast(ast)
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect()
 }
 
 /// The worst severity in a batch, if any.

@@ -31,14 +31,14 @@
 //! `P - q_max + 1` nodes are busy, so node-seconds bound that time by
 //! `W_hi / (P - q_max + 1)`).
 //!
-//! Soundness is not an argument on paper only: the bracketing oracle
-//! (`tests/bracketing.rs`, plus the workflow- and lint-crate oracles)
-//! asserts `lo <= simulate(spec).makespan <= hi` across the paper
-//! workflows, every shipped spec, sweep grids, and proptest-random DAGs.
+//! Soundness is not an argument on paper only: the bracketing pair of
+//! the differential-oracle harness ([`crate::oracle`], run by the root
+//! `tests/oracle.rs`) asserts `lo <= makespan <= hi` on every corpus
+//! entry: the paper workflows, every shipped spec, sweep grids, and
+//! generated DAGs.
 
-use crate::calendar::CalendarKind;
 use crate::channel::Sharing;
-use crate::engine::{run_scenario, Scenario, SimArena, SimError, SimOptions};
+use crate::engine::{Scenario, SimError, SimOptions};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, WorkflowSpec};
@@ -188,13 +188,6 @@ pub fn certify_with_base(
 ) -> Result<Certificate, SimError> {
     let overlay = IndexOverlay::build(base, workflow, options)?;
     Ok(certify_indexed(workflow, options, base, &overlay))
-}
-
-/// Simulates and returns only the makespan: the oracle-side entry point
-/// (skips the per-task result maps the full [`crate::simulate`] builds).
-pub fn simulate_makespan(scenario: &Scenario) -> Result<f64, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    run_scenario(scenario, &base, &mut SimArena::new(), CalendarKind::Buckets)
 }
 
 fn certify_indexed(
@@ -617,16 +610,6 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-    }
-
-    #[test]
-    fn makespan_only_entry_point_matches_full_simulation() {
-        let machine = machines::cori_haswell();
-        let wf = lcls_like(4);
-        let scenario = Scenario::new(machine, wf);
-        let full = simulate(&scenario).unwrap().makespan;
-        let fast = simulate_makespan(&scenario).unwrap();
-        assert_eq!(full.to_bits(), fast.to_bits());
     }
 
     #[test]

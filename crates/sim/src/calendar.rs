@@ -8,8 +8,8 @@
 //! resize. The binary heap it replaced is kept behind the same
 //! [`Calendar`] facade as an in-tree equivalence oracle
 //! ([`CalendarKind::Heap`]): the engine's results must be bit-identical
-//! under either calendar, which the proptest suite
-//! (`tests/calendar_props.rs`) enforces.
+//! under either calendar, which the calendar pair of the oracle harness
+//! ([`crate::oracle`]) enforces over its whole corpus.
 //!
 //! Why the choice of calendar cannot affect results: the engine never
 //! relies on pop *order* beyond the minimum end value — `collect_due`
@@ -62,14 +62,14 @@ fn ev_lt(a: CalEv, b: CalEv) -> bool {
 
 /// Which calendar implementation an engine run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
+pub(crate) enum CalendarKind {
     /// Bucketed calendar queue: O(1) amortized insert and extract-min
     /// (the production default).
     #[default]
     Buckets,
     /// Binary heap: the pre-calendar-queue implementation, kept as an
-    /// equivalence oracle for tests and benches (only
-    /// `simulate_with_calendar`, built with them, selects it).
+    /// equivalence oracle (only `simulate_with_calendar`, which the
+    /// calendar pair of [`crate::oracle`] calls, selects it).
     #[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
     Heap,
 }

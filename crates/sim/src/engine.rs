@@ -562,7 +562,8 @@ pub(crate) enum RunMode {
 /// Aggregate statistics of a summary-mode run
 /// ([`simulate_summary`]). Every field is
 /// bit-identical to the same statistic derived from the corresponding
-/// full [`SimResult`] (enforced by `tests/calendar_props.rs`).
+/// full [`SimResult`] (enforced by the `summary` pair of
+/// [`crate::oracle`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
     /// End-to-end makespan in seconds (identical to `Trace::makespan`
@@ -652,9 +653,10 @@ pub fn simulate_summary_with_base(
 }
 
 /// [`simulate`] with an explicit calendar implementation — the hook the
-/// equivalence oracles use to pin calendar-queue results to the heap's.
+/// calendar pair of [`crate::oracle`] uses to pin calendar-queue
+/// results to the heap's.
 #[cfg(any(test, feature = "reference-engine"))]
-pub fn simulate_with_calendar(
+pub(crate) fn simulate_with_calendar(
     scenario: &Scenario,
     kind: CalendarKind,
 ) -> Result<SimResult, SimError> {
@@ -683,16 +685,6 @@ impl RunOutput for SimSummary {
     }
 }
 
-/// The makespan of a full run, skipping [`Engine::take_result`]'s
-/// per-task maps: identical to the [`SimResult`]'s makespan, and the
-/// bracketing oracle needs it thousands of times per grid.
-impl RunOutput for f64 {
-    const MODE: RunMode = RunMode::Full;
-    fn take(engine: &mut Engine<'_>) -> Self {
-        engine.trace.makespan()
-    }
-}
-
 /// Builds the scenario's overlay on `base` and runs it ([`run_point`]).
 pub(crate) fn run_scenario<T: RunOutput>(
     scenario: &Scenario,
@@ -714,8 +706,8 @@ pub(crate) fn run_scenario<T: RunOutput>(
 
 /// The one run-to-completion path: a fresh engine over the arena's
 /// recycled buffers, run to the end, materialized as `T`, buffers
-/// handed back to the arena. Every full, summary and makespan-only run
-/// goes through here.
+/// handed back to the arena. Every full and summary run goes through
+/// here.
 pub(crate) fn run_point<T: RunOutput>(
     workflow: &WorkflowSpec,
     machine_name: &str,

@@ -295,12 +295,10 @@ fn verify_no_collisions(phase_sched: &[(f64, f64)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::try_fastpath;
-    use crate::engine::{simulate, Scenario, SimOptions, SimResult};
+    use crate::engine::{Scenario, SimOptions, SimResult};
     use crate::index::BaseIndex;
     use crate::overlay::IndexOverlay;
-    use crate::reference::simulate_reference;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
-    use proptest::prelude::*;
     use wrm_core::machines;
 
     fn run_fastpath(scenario: &Scenario) -> Option<SimResult> {
@@ -313,62 +311,6 @@ mod tests {
             &base,
             &overlay,
         )
-    }
-
-    /// Sorts a result's spans with a stable key so fast-path and DES
-    /// traces (identical as span *sets*, possibly ordered differently at
-    /// shared completion instants) compare equal; all scalar fields stay
-    /// under exact comparison.
-    fn canonicalize(mut r: SimResult) -> SimResult {
-        r.trace
-            .spans
-            .sort_by(|a, b| a.task.cmp(&b.task).then(a.start.total_cmp(&b.start)));
-        r
-    }
-
-    fn assert_matches_des(scenario: &Scenario) {
-        let fast = run_fastpath(scenario).expect("fast path engages");
-        let des = simulate(scenario).expect("DES succeeds");
-        let refr = simulate_reference(scenario).expect("reference succeeds");
-        assert_eq!(canonicalize(fast.clone()), canonicalize(des));
-        assert_eq!(canonicalize(fast), canonicalize(refr));
-    }
-
-    /// An uncontended pipeline: stream-capped flows far below capacity.
-    #[test]
-    fn engages_on_uncontended_pipeline_bit_identically() {
-        let mut wf = WorkflowSpec::new("uncontended");
-        for i in 0..6 {
-            let mut t = TaskSpec::new(format!("t{i}"), 4)
-                .phase(Phase::overhead("setup", 3.0 + f64::from(i)))
-                .phase(Phase::SystemData {
-                    resource: wrm_core::ids::EXTERNAL.into(),
-                    bytes: 7e9 + f64::from(i) * 1e9,
-                    stream_cap: Some(1e9),
-                });
-            if i > 0 {
-                t = t.after(format!("t{}", i - 1));
-            }
-            wf = wf.task(t);
-        }
-        let scenario = Scenario::new(machines::cori_haswell(), wf);
-        assert_matches_des(&scenario);
-    }
-
-    /// Parallel flows whose caps sum below capacity also engage.
-    #[test]
-    fn engages_on_parallel_uncontended_flows() {
-        let mut wf = WorkflowSpec::new("parallel");
-        for i in 0..8 {
-            wf = wf.task(TaskSpec::new(format!("w{i}"), 2).phase(Phase::SystemData {
-                resource: wrm_core::ids::EXTERNAL.into(),
-                bytes: 5e9 + f64::from(i) * 1e9,
-                // 8 x 0.5 GB/s stays below Cori's 5 GB/s external link.
-                stream_cap: Some(5e8),
-            }));
-        }
-        let scenario = Scenario::new(machines::cori_haswell(), wf);
-        assert_matches_des(&scenario);
     }
 
     /// Contention (caps exceeding capacity) must fall back to the DES.
@@ -422,89 +364,5 @@ mod tests {
         );
         let bg = SimOptions::default().with_background(wrm_core::ids::EXTERNAL, 1e9);
         assert!(run_fastpath(&Scenario::new(machine, wf).with_options(bg)).is_none());
-    }
-
-    /// Generator for scenarios that are uncontended by construction:
-    /// small stream-capped flows, loose pool, no jitter/background. The
-    /// fast path must engage and match both engines bit-identically.
-    fn uncontended_workflow(seed: u64, n_tasks: usize) -> WorkflowSpec {
-        let mut s = seed;
-        let mut split = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut wf = WorkflowSpec::new(format!("unc[{seed}]"));
-        for i in 0..n_tasks {
-            let nodes = 1 + split() % 4;
-            let mut t = TaskSpec::new(format!("t{i}"), nodes);
-            for _ in 0..(split() % 3) {
-                t = match split() % 3 {
-                    0 => t.phase(Phase::overhead("o", (1 + split() % 400) as f64 / 10.0)),
-                    1 => t.phase(Phase::Compute {
-                        flops: (1 + split() % 1000) as f64 * 1e9,
-                        efficiency: 0.25 + (split() % 100) as f64 / 200.0,
-                    }),
-                    // Tiny stream caps: 12 tasks x 1e8 B/s stays far
-                    // below either machine's external capacity.
-                    _ => t.phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
-                        bytes: (1 + split() % 500) as f64 * 1e8,
-                        stream_cap: Some(1e8),
-                    }),
-                };
-            }
-            if i > 0 {
-                for _ in 0..(split() % 3).min(i as u64) {
-                    let d = (split() as usize) % i;
-                    t = t.after(format!("t{d}"));
-                }
-            }
-            wf = wf.task(t);
-        }
-        wf
-    }
-
-    proptest! {
-        /// The fast-path satellite contract: on generated uncontended
-        /// scenarios the analytic schedule is bit-identical to the DES
-        /// and to the reference oracle.
-        #[test]
-        fn fastpath_is_bit_identical_on_uncontended_scenarios(
-            seed in any::<u64>(),
-            n_tasks in 1usize..12,
-            machine_ix in 0usize..2,
-            backfill in any::<bool>(),
-        ) {
-            let machine = if machine_ix == 0 {
-                machines::cori_haswell()
-            } else {
-                machines::perlmutter_cpu()
-            };
-            let wf = uncontended_workflow(seed, n_tasks);
-            let opts = SimOptions {
-                scheduler: if backfill {
-                    crate::engine::SchedulerPolicy::Backfill
-                } else {
-                    crate::engine::SchedulerPolicy::Fifo
-                },
-                ..SimOptions::default()
-            };
-            let scenario = Scenario::new(machine, wf).with_options(opts);
-            // Random durations can (rarely) land within the collision
-            // tolerance, where the fast path soundly bails.
-            if let Some(fast) = run_fastpath(&scenario) {
-                let des = simulate(&scenario).expect("DES succeeds");
-                let refr = simulate_reference(&scenario).expect("reference succeeds");
-                prop_assert_eq!(canonicalize(fast.clone()), canonicalize(des));
-                prop_assert_eq!(canonicalize(fast), canonicalize(refr));
-            } else {
-                // Bailing is allowed (sound), but the DES must agree the
-                // scenario at least runs.
-                simulate(&scenario).expect("DES succeeds");
-            }
-        }
     }
 }

@@ -12,7 +12,7 @@
 //!    dependents CSR, durations) is built once; each point only builds
 //!    a tiny [`IndexOverlay`] (channel capacities/factors, pool size,
 //!    background demands) on top of it — bit-identical to a cold build,
-//!    which `overlay::tests` proves.
+//!    which the `with-base` pair of [`crate::oracle`] checks.
 //! 2. **Analytic fast path.** Points whose overlay yields no channel
 //!    contention and no node queueing skip the DES entirely
 //!    ([`crate::fastpath`]): the makespan is a longest-path over the
@@ -37,7 +37,8 @@
 //!
 //! Every path is exact — [`SweepOutcome::results`] is bit-identical to
 //! running [`crate::simulate`] per point (and, transitively, to
-//! `wrm_sim::reference`), which the oracle proptest below enforces. Only
+//! `wrm_sim::reference`), which the `sweep` pair of [`crate::oracle`]
+//! enforces over its whole corpus at one and two threads. Only
 //! trace span *order* within one completion instant may differ between
 //! paths; the `Trace` contract leaves that order unspecified.
 
@@ -345,116 +346,10 @@ pub fn sweep_column(
 #[cfg(test)]
 mod tests {
     use super::{sweep_grid, SweepGrid};
-    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions, SimResult};
-    use crate::reference::simulate_reference;
+    use crate::engine::{Scenario, SchedulerPolicy};
+    use crate::oracle::mixed_workflow;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
-    use proptest::prelude::*;
     use wrm_core::machines;
-
-    /// Sorts spans (the one representation detail the evaluation paths
-    /// may legitimately order differently within a completion instant)
-    /// and leaves every scalar under exact equality.
-    fn canonicalize(mut r: SimResult) -> SimResult {
-        r.trace.spans.sort_by(|a, b| {
-            a.task
-                .cmp(&b.task)
-                .then(a.start.total_cmp(&b.start))
-                .then(a.end.total_cmp(&b.end))
-        });
-        r
-    }
-
-    /// Asserts the incremental sweep is bit-identical to per-point
-    /// `simulate` and to the reference engine on every grid point.
-    fn assert_oracle(scenario: &Scenario, grid: &SweepGrid, threads: usize) {
-        let outcome = sweep_grid(scenario, grid, threads);
-        assert_eq!(outcome.results.len(), grid.len());
-        let n_paths = outcome.stats.fastpath
-            + outcome.stats.replayed
-            + outcome.stats.cold
-            + outcome.stats.reused
-            + outcome.stats.errors;
-        assert_eq!(n_paths, grid.len(), "stats cover every point");
-        for fi in 0..grid.factors.len() {
-            for ni in 0..grid.node_limits.len() {
-                for pi in 0..grid.policies.len() {
-                    let ix = grid.index_of(fi, ni, pi);
-                    let opts = grid.point_options(&scenario.options, fi, ni, pi);
-                    let point = Scenario {
-                        machine: scenario.machine.clone(),
-                        workflow: scenario.workflow.clone(),
-                        options: opts,
-                    };
-                    let expect = simulate(&point);
-                    let refr = simulate_reference(&point);
-                    match (&outcome.results[ix], expect, refr) {
-                        (Ok(got), Ok(want), Ok(want_ref)) => {
-                            assert_eq!(
-                                canonicalize(got.clone()),
-                                canonicalize(want),
-                                "point {ix} (fi={fi} ni={ni} pi={pi}) vs simulate"
-                            );
-                            assert_eq!(
-                                canonicalize(got.clone()),
-                                canonicalize(want_ref),
-                                "point {ix} vs reference"
-                            );
-                        }
-                        (Err(got), Err(want), Err(want_ref)) => {
-                            assert_eq!(got, &want, "point {ix} error vs simulate");
-                            assert_eq!(got, &want_ref, "point {ix} error vs reference");
-                        }
-                        (got, want, want_ref) => {
-                            panic!("point {ix} disagreement: {got:?} vs {want:?} / {want_ref:?}")
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A workflow with both contended and uncontended regions, so a
-    /// factor sweep exercises the fast path, the replay path and the
-    /// reuse path.
-    fn mixed_workflow() -> WorkflowSpec {
-        let mut wf = WorkflowSpec::new("mixed");
-        for i in 0..6 {
-            wf = wf.task(
-                TaskSpec::new(format!("sim{i}"), 16)
-                    .phase(Phase::overhead("setup", 5.0 + f64::from(i)))
-                    .phase(Phase::Compute {
-                        flops: 2e13,
-                        efficiency: 0.4,
-                    }),
-            );
-        }
-        // A contended egress stage at the end: five unbounded flows on
-        // the external link, fed by the compute stage.
-        for i in 0..5 {
-            wf = wf.task(
-                TaskSpec::new(format!("push{i}"), 4)
-                    .after(format!("sim{i}"))
-                    .phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
-                        bytes: 2e11,
-                        stream_cap: None,
-                    }),
-            );
-        }
-        wf
-    }
-
-    #[test]
-    fn grid_matches_per_point_simulate_and_reference() {
-        let scenario = Scenario::new(machines::cori_haswell(), mixed_workflow());
-        let grid = SweepGrid {
-            resource: Some(wrm_core::ids::EXTERNAL.into()),
-            factors: vec![0.2, 0.5, 1.0, 2.0],
-            node_limits: vec![None, Some(64), Some(24)],
-            policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
-        };
-        assert_oracle(&scenario, &grid, 1);
-    }
 
     #[test]
     fn replay_path_engages_on_contended_columns() {
@@ -472,7 +367,6 @@ mod tests {
             outcome.stats
         );
         assert_eq!(outcome.stats.cold, 1, "one cold run per column");
-        assert_oracle(&scenario, &grid, 1);
     }
 
     #[test]
@@ -495,139 +389,5 @@ mod tests {
         let outcome = sweep_grid(&scenario, &grid, 1);
         assert_eq!(outcome.stats.cold, 1);
         assert_eq!(outcome.stats.reused, 3);
-        assert_oracle(&scenario, &grid, 1);
-    }
-
-    #[test]
-    fn threads_do_not_change_results_or_stats() {
-        let scenario = Scenario::new(machines::perlmutter_cpu(), mixed_workflow());
-        let grid = SweepGrid {
-            resource: Some(wrm_core::ids::EXTERNAL.into()),
-            factors: vec![0.3, 1.0, 1.3],
-            node_limits: vec![None, Some(40)],
-            policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
-        };
-        let serial = sweep_grid(&scenario, &grid, 1);
-        let parallel = sweep_grid(&scenario, &grid, 4);
-        assert_eq!(serial.stats, parallel.stats);
-        assert_eq!(serial.results.len(), parallel.results.len());
-        for (s, p) in serial.results.iter().zip(parallel.results.iter()) {
-            match (s, p) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(canonicalize(a.clone()), canonicalize(b.clone()));
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("thread-count divergence: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_spec_errors_every_point() {
-        let wf = WorkflowSpec::new("dangling").task(
-            TaskSpec::new("t", 1)
-                .after("missing")
-                .phase(Phase::overhead("o", 1.0)),
-        );
-        let scenario = Scenario::new(machines::cori_haswell(), wf);
-        let grid = SweepGrid {
-            resource: None,
-            factors: vec![1.0, 2.0],
-            node_limits: vec![None],
-            policies: vec![SchedulerPolicy::Fifo],
-        };
-        let outcome = sweep_grid(&scenario, &grid, 1);
-        assert_eq!(outcome.results.len(), 2);
-        assert_eq!(outcome.stats.errors, 2);
-        for (r, want) in outcome.results.iter().zip([
-            simulate(&Scenario {
-                machine: scenario.machine.clone(),
-                workflow: scenario.workflow.clone(),
-                options: grid.point_options(&scenario.options, 0, 0, 0),
-            }),
-            simulate(&Scenario {
-                machine: scenario.machine.clone(),
-                workflow: scenario.workflow.clone(),
-                options: grid.point_options(&scenario.options, 1, 0, 0),
-            }),
-        ]) {
-            assert_eq!(r.as_ref().err(), want.err().as_ref());
-        }
-    }
-
-    /// Random-workflow generator mixing overheads, compute, capped and
-    /// uncapped external flows, and dependencies — enough variety to hit
-    /// the fast path, replay, reuse, errors and both schedulers.
-    fn random_workflow(seed: u64, n_tasks: usize) -> WorkflowSpec {
-        let mut s = seed;
-        let mut split = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut wf = WorkflowSpec::new(format!("rand[{seed}]"));
-        for i in 0..n_tasks {
-            let nodes = 1 + split() % 48;
-            let mut t = TaskSpec::new(format!("t{i}"), nodes);
-            for _ in 0..(split() % 3) {
-                t = match split() % 4 {
-                    0 => t.phase(Phase::overhead("o", (1 + split() % 300) as f64 / 10.0)),
-                    1 => t.phase(Phase::Compute {
-                        flops: (1 + split() % 500) as f64 * 1e12,
-                        efficiency: 0.2 + (split() % 100) as f64 / 150.0,
-                    }),
-                    2 => t.phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
-                        bytes: (1 + split() % 300) as f64 * 1e9,
-                        stream_cap: Some((1 + split() % 20) as f64 * 1e8),
-                    }),
-                    _ => t.phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
-                        bytes: (1 + split() % 300) as f64 * 1e9,
-                        stream_cap: None,
-                    }),
-                };
-            }
-            if i > 0 {
-                for _ in 0..(split() % 3).min(i as u64) {
-                    let d = (split() as usize) % i;
-                    t = t.after(format!("t{d}"));
-                }
-            }
-            wf = wf.task(t);
-        }
-        wf
-    }
-
-    proptest! {
-        /// The tentpole oracle: on random workflows and random small
-        /// grids, the incremental sweep (serial and threaded) matches
-        /// per-point `simulate` and `simulate_reference` bit for bit.
-        #[test]
-        fn incremental_sweep_matches_oracles(
-            seed in any::<u64>(),
-            n_tasks in 1usize..8,
-            machine_ix in 0usize..2,
-            threads in 1usize..4,
-            tight_pool in any::<bool>(),
-        ) {
-            let machine = if machine_ix == 0 {
-                machines::cori_haswell()
-            } else {
-                machines::perlmutter_cpu()
-            };
-            let wf = random_workflow(seed, n_tasks);
-            let scenario = Scenario::new(machine, wf).with_options(SimOptions::default());
-            let node_limit = if tight_pool { Some(64) } else { None };
-            let grid = SweepGrid {
-                resource: Some(wrm_core::ids::EXTERNAL.into()),
-                factors: vec![0.5, 1.0, 1.7],
-                node_limits: vec![None, node_limit],
-                policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
-            };
-            assert_oracle(&scenario, &grid, threads);
-        }
     }
 }

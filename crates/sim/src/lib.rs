@@ -50,6 +50,8 @@ mod fastpath;
 pub mod incremental;
 mod index;
 pub mod mc;
+#[cfg(any(test, feature = "reference-engine"))]
+pub mod oracle;
 mod overlay;
 #[cfg(any(test, feature = "reference-engine"))]
 pub mod reference;
@@ -57,17 +59,12 @@ pub mod spec;
 pub mod sweep;
 
 pub use bounds::{
-    certify, certify_scenario, certify_with_base, simulate_makespan, Certificate, ChannelFloor,
-    TaskBound, TermBound,
+    certify, certify_scenario, certify_with_base, Certificate, ChannelFloor, TaskBound, TermBound,
 };
-#[cfg(any(test, feature = "reference-engine"))]
-pub use calendar::CalendarKind;
 pub use channel::{
     equal_split_rates, equal_split_rates_into, max_min_rates, max_min_rates_into, FlowDemand,
     FlowRate, RateScratch, Sharing,
 };
-#[cfg(any(test, feature = "reference-engine"))]
-pub use engine::simulate_with_calendar;
 pub use engine::{
     simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BackgroundFlow,
     ChannelSummary, Jitter, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult,

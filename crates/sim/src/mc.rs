@@ -413,104 +413,7 @@ fn contains((lo, hi): (f64, f64), m: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
-    use crate::spec::TaskSpec;
-    use wrm_core::machines;
-
-    fn dist_scenario() -> Scenario {
-        let mut wf = WorkflowSpec::new("mc-test");
-        for i in 0..6 {
-            wf = wf.task(
-                TaskSpec::new(format!("t{i}"), 2)
-                    .phase(Phase::overhead("work", 10.0))
-                    .dist(0, Dist::Uniform { lo: 8.0, hi: 12.0 }),
-            );
-        }
-        wf = wf.task(
-            TaskSpec::new("merge", 1)
-                .phase(Phase::overhead("merge", 3.0))
-                .dist(
-                    0,
-                    Dist::Triangular {
-                        lo: 2.0,
-                        mode: 3.0,
-                        hi: 4.0,
-                    },
-                )
-                .after("t0")
-                .after("t1"),
-        );
-        Scenario::new(machines::perlmutter_cpu(), wf)
-    }
-
-    #[test]
-    fn point_mass_collapses_to_simulate() {
-        let mut wf = WorkflowSpec::new("point");
-        wf = wf.task(
-            TaskSpec::new("a", 1)
-                .phase(Phase::overhead("x", 7.0))
-                .dist(0, Dist::Point { value: 7.0 }),
-        );
-        let scenario = Scenario::new(machines::perlmutter_cpu(), wf);
-        let mc = mc_run(
-            &scenario,
-            &McOptions {
-                reps: 64,
-                seed: 9,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        assert!(mc.degenerate);
-        assert_eq!(mc.reps, 1);
-        let full = simulate(&scenario).unwrap();
-        assert_eq!(mc.makespans[0].to_bits(), full.makespan.to_bits());
-        for p in &mc.percentiles {
-            assert_eq!(p.value.to_bits(), full.makespan.to_bits());
-        }
-    }
-
-    #[test]
-    fn thread_counts_are_bit_identical() {
-        let scenario = dist_scenario();
-        let opts = |threads| McOptions {
-            reps: 40,
-            seed: 42,
-            threads,
-        };
-        let one = mc_run(&scenario, &opts(1)).unwrap();
-        let two = mc_run(&scenario, &opts(2)).unwrap();
-        let four = mc_run(&scenario, &opts(4)).unwrap();
-        assert_eq!(one, two);
-        assert_eq!(one, four);
-        assert!(!one.degenerate);
-        assert_eq!(one.makespans.len(), 40);
-    }
-
-    #[test]
-    fn bracket_contains_every_sample() {
-        let scenario = dist_scenario();
-        let mc = mc_run(
-            &scenario,
-            &McOptions {
-                reps: 128,
-                seed: 7,
-                threads: 0,
-            },
-        )
-        .unwrap();
-        for &m in &mc.makespans {
-            assert!(
-                mc.bracket_lo <= m && m <= mc.bracket_hi,
-                "[{}, {}] misses {m}",
-                mc.bracket_lo,
-                mc.bracket_hi
-            );
-        }
-        assert!(mc.percentiles[0].value <= mc.percentiles[1].value);
-        assert!(mc.percentiles[1].value <= mc.percentiles[2].value);
-        assert!(mc.min <= mc.mean && mc.mean <= mc.max);
-    }
+    use crate::oracle::dist_scenario;
 
     #[test]
     fn seeds_change_samples_deterministically() {

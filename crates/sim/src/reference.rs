@@ -437,201 +437,3 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
         pool_nodes: pool_total,
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::simulate_reference;
-    use crate::engine::{simulate, Jitter, Scenario, SchedulerPolicy, SimOptions};
-    use crate::spec::{Phase, TaskSpec, WorkflowSpec};
-    use proptest::prelude::*;
-    use wrm_core::{machines, Machine};
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A seeded arbitrary workflow exercising every phase kind, plus the
-    /// engine's corner cases: zero-phase tasks, zero-byte flows,
-    /// zero-second overheads, stream caps, and random DAG edges.
-    fn build_workflow(seed: u64, n_tasks: usize, machine: &Machine) -> WorkflowSpec {
-        let mut s = seed;
-        let n_sys = machine.system_resources.len();
-        let mut wf = WorkflowSpec::new(format!("gen[{seed}]"));
-        for i in 0..n_tasks {
-            let nodes = 1 + splitmix(&mut s) % 6;
-            let mut t = TaskSpec::new(format!("t{i}"), nodes);
-            let n_phases = (splitmix(&mut s) % 4) as usize; // 0 => instant task
-            for _ in 0..n_phases {
-                t = match splitmix(&mut s) % 6 {
-                    0 => t.phase(Phase::Compute {
-                        flops: (1 + splitmix(&mut s) % 1000) as f64 * 1e9,
-                        efficiency: 0.25 + (splitmix(&mut s) % 100) as f64 / 200.0,
-                    }),
-                    1 => t.phase(Phase::node_data(
-                        wrm_core::ids::DRAM,
-                        (splitmix(&mut s) % 1000) as f64 * 1e8,
-                    )),
-                    2 => t.phase(Phase::overhead(
-                        "o",
-                        // Sometimes exactly zero: an instantly-finished
-                        // fixed phase.
-                        if splitmix(&mut s).is_multiple_of(4) {
-                            0.0
-                        } else {
-                            (splitmix(&mut s) % 100) as f64 / 10.0
-                        },
-                    )),
-                    _ => {
-                        let sr = &machine.system_resources[(splitmix(&mut s) as usize) % n_sys];
-                        let bytes = if splitmix(&mut s).is_multiple_of(5) {
-                            0.0 // a zero-byte flow, finished at birth
-                        } else {
-                            (1 + splitmix(&mut s) % 1000) as f64 * 1e8
-                        };
-                        let stream_cap = if splitmix(&mut s).is_multiple_of(3) {
-                            Some((1 + splitmix(&mut s) % 20) as f64 * 1e8)
-                        } else {
-                            None
-                        };
-                        t.phase(Phase::SystemData {
-                            resource: sr.id.to_string(),
-                            bytes,
-                            stream_cap,
-                        })
-                    }
-                };
-            }
-            // Random backward edges (keeps the DAG acyclic by index).
-            if i > 0 {
-                let n_deps = (splitmix(&mut s) % 3).min(i as u64) as usize;
-                for _ in 0..n_deps {
-                    let d = (splitmix(&mut s) as usize) % i;
-                    t = t.after(format!("t{d}"));
-                }
-            }
-            wf = wf.task(t);
-        }
-        wf
-    }
-
-    proptest! {
-        /// The tentpole contract: the optimized engine is bit-identical
-        /// to the reference on arbitrary scenarios — same trace spans in
-        /// the same order, same makespan, same task times/starts/nodes,
-        /// and the same error when the scenario is invalid or stalls.
-        #[test]
-        fn optimized_engine_matches_reference_exactly(
-            seed in any::<u64>(),
-            n_tasks in 1usize..16,
-            machine_ix in 0usize..2,
-            backfill in any::<bool>(),
-            jitter_seed in prop::option::of(any::<u64>()),
-            amplitude in 0.0f64..0.9,
-            contention in prop::option::of(0.1f64..1.5),
-            background in any::<bool>(),
-            node_limit in prop::option::of(1u64..32),
-        ) {
-            let machine = if machine_ix == 0 {
-                machines::cori_haswell()
-            } else {
-                machines::perlmutter_cpu()
-            };
-            let wf = build_workflow(seed, n_tasks, &machine);
-            let mut opts = SimOptions {
-                node_limit,
-                scheduler: if backfill {
-                    SchedulerPolicy::Backfill
-                } else {
-                    SchedulerPolicy::Fifo
-                },
-                jitter: jitter_seed.map(|s| Jitter { seed: s, amplitude }),
-                ..SimOptions::default()
-            };
-            if let Some(f) = contention {
-                opts = opts.with_contention(wrm_core::ids::EXTERNAL, f);
-            }
-            if background {
-                opts = opts.with_background(wrm_core::ids::EXTERNAL, 2e9);
-            }
-            let scenario = Scenario::new(machine, wf).with_options(opts);
-            let optimized = simulate(&scenario);
-            let reference = simulate_reference(&scenario);
-            prop_assert_eq!(optimized, reference);
-        }
-
-        /// Same contract under the equal-split sharing ablation.
-        #[test]
-        fn equal_split_matches_reference_exactly(
-            seed in any::<u64>(),
-            n_tasks in 1usize..12,
-        ) {
-            let machine = machines::perlmutter_cpu();
-            let wf = build_workflow(seed, n_tasks, &machine);
-            let opts = SimOptions {
-                sharing: crate::channel::Sharing::EqualSplit,
-                ..SimOptions::default()
-            };
-            let scenario = Scenario::new(machine, wf).with_options(opts);
-            prop_assert_eq!(simulate(&scenario), simulate_reference(&scenario));
-        }
-    }
-
-    /// Regression for the reference's quadratic zero-phase rescan: a
-    /// 5000-task chain of zero-phase tasks resolves in one start scan
-    /// (every completion unblocks the next task mid-scan), and the
-    /// optimized engine handles it without restarting the scan — while
-    /// still matching the reference bit for bit.
-    #[test]
-    fn five_thousand_task_zero_phase_chain() {
-        let n = 5000;
-        let mut wf = WorkflowSpec::new("zero-chain");
-        for i in 0..n {
-            let mut t = TaskSpec::new(format!("t{i}"), 1);
-            if i > 0 {
-                t = t.after(format!("t{}", i - 1));
-            }
-            wf = wf.task(t);
-        }
-        let scenario = Scenario::new(machines::perlmutter_cpu(), wf);
-        let r = simulate(&scenario).expect("chain completes");
-        assert_eq!(r.makespan, 0.0);
-        assert_eq!(r.task_times.len(), n);
-        assert!(r.task_times.values().all(|&t| t == 0.0));
-        assert_eq!(
-            simulate_reference(&scenario).expect("reference completes"),
-            r
-        );
-    }
-
-    /// Mixed zero-phase fan-out under backfill: zero-phase completions
-    /// unblock whole layers mid-scan while real tasks hold nodes.
-    #[test]
-    fn zero_phase_fanout_matches_reference() {
-        let mut wf = WorkflowSpec::new("fanout");
-        for i in 0..40 {
-            let mut t = TaskSpec::new(format!("gate{i}"), 1);
-            if i > 0 {
-                t = t.after(format!("gate{}", i - 1));
-            }
-            wf = wf.task(t);
-            let mut w = TaskSpec::new(format!("work{i}"), 3)
-                .phase(Phase::overhead("o", 1.0 + f64::from(i)));
-            w = w.after(format!("gate{i}"));
-            wf = wf.task(w);
-        }
-        let machine = machines::cori_haswell();
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Backfill] {
-            let opts = SimOptions {
-                node_limit: Some(16),
-                scheduler: policy,
-                ..SimOptions::default()
-            };
-            let scenario = Scenario::new(machine.clone(), wf.clone()).with_options(opts);
-            assert_eq!(simulate(&scenario), simulate_reference(&scenario));
-        }
-    }
-}

@@ -1,66 +1,15 @@
 //! Property-based tests for the simulator's conservation laws and the
-//! Monte-Carlo replication engine's invariants.
+//! Monte-Carlo replication engine's percentile invariants. (Agreement
+//! between evaluation paths lives in the oracle harness,
+//! `wrm_sim::oracle`.)
 
 use proptest::prelude::*;
-use wrm_core::{ids, BytesPerSec, Dist, Machine};
+use wrm_core::{ids, BytesPerSec, Machine};
+use wrm_sim::oracle::layered_mc_scenario;
 use wrm_sim::{
     max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario, SimOptions, TaskSpec,
     WorkflowSpec,
 };
-
-/// A random layered DAG with distributional phase quantities: every
-/// task in layer `l > 0` depends on all of layer `l - 1`.
-fn layered_mc_scenario(layers: usize, width: usize, bytes: f64, spread: f64) -> Scenario {
-    let machine = Machine::builder("mc-pool", 64)
-        .system(ids::FILE_SYSTEM, "fs", BytesPerSec::gbps(10.0))
-        .build()
-        .unwrap();
-    let mut wf = WorkflowSpec::new("mc");
-    for l in 0..layers {
-        for i in 0..width {
-            let mut t = TaskSpec::new(format!("l{l}t{i}"), 1)
-                .phase(Phase::overhead("setup", 5.0))
-                .dist(
-                    0,
-                    Dist::Triangular {
-                        lo: 2.0,
-                        mode: 5.0,
-                        hi: 9.0,
-                    },
-                )
-                .phase(Phase::system_data(ids::FILE_SYSTEM, bytes))
-                .dist(
-                    1,
-                    Dist::Uniform {
-                        lo: bytes * (1.0 - spread),
-                        hi: bytes * (1.0 + spread),
-                    },
-                );
-            if l > 0 {
-                for j in 0..width {
-                    t = t.after(format!("l{}t{j}", l - 1));
-                }
-            }
-            wf = wf.task(t);
-        }
-    }
-    Scenario::new(machine, wf)
-}
-
-/// Bit-exact fingerprint of an [`wrm_sim::McResult`]'s user-visible
-/// numbers: every sampled makespan plus the percentile table.
-fn mc_bits(mc: &wrm_sim::McResult) -> Vec<u64> {
-    let mut bits: Vec<u64> = mc.makespans.iter().map(|m| m.to_bits()).collect();
-    for p in &mc.percentiles {
-        bits.extend([
-            p.q.to_bits(),
-            p.value.to_bits(),
-            p.ci_lo.to_bits(),
-            p.ci_hi.to_bits(),
-        ]);
-    }
-    bits
-}
 
 prop_compose! {
     fn flows()(caps in prop::collection::vec(
@@ -267,7 +216,7 @@ proptest! {
     }
 
     #[test]
-    fn mc_percentiles_are_ordered_and_bracketed(
+    fn mc_percentiles_are_ordered(
         layers in 1usize..4,
         width in 1usize..4,
         bytes in 1e8f64..1e11,
@@ -287,61 +236,6 @@ proptest! {
             prop_assert!(p.ci_lo <= p.value && p.value <= p.ci_hi);
             prop_assert!(mc.min <= p.value && p.value <= mc.max);
         }
-        // The analytic certificate on the [lo, hi] envelope scenarios
-        // brackets every sampled makespan.
-        for &m in &mc.makespans {
-            prop_assert!(
-                mc.bracket_lo <= m * (1.0 + 1e-9) && m <= mc.bracket_hi * (1.0 + 1e-9),
-                "makespan {} outside bracket [{}, {}]", m, mc.bracket_lo, mc.bracket_hi
-            );
-        }
-    }
-
-    #[test]
-    fn mc_point_mass_collapses_to_the_deterministic_run(
-        n_tasks in 1usize..8,
-        bytes in 1e8f64..1e12,
-        seed in any::<u64>(),
-    ) {
-        let machine = Machine::builder("m", 16)
-            .system(ids::FILE_SYSTEM, "fs", BytesPerSec::gbps(5.0))
-            .build()
-            .unwrap();
-        let mut wf = WorkflowSpec::new("w");
-        for i in 0..n_tasks {
-            wf = wf.task(
-                TaskSpec::new(format!("t{i}"), 2)
-                    .phase(Phase::system_data(ids::FILE_SYSTEM, bytes))
-                    .dist(0, Dist::Point { value: bytes }),
-            );
-        }
-        let scenario = Scenario::new(machine, wf);
-        let det = simulate(&scenario).unwrap().makespan;
-        let mc = mc_run(&scenario, &McOptions { reps: 32, seed, threads: 2 }).unwrap();
-        // All-point-mass: one replication, bit-equal to `simulate`,
-        // whatever the seed.
-        prop_assert!(mc.degenerate);
-        prop_assert_eq!(mc.makespans.len(), 1);
-        prop_assert_eq!(mc.makespans[0].to_bits(), det.to_bits());
-        prop_assert_eq!(mc.mean.to_bits(), det.to_bits());
-    }
-
-    #[test]
-    fn mc_results_are_bit_identical_across_thread_counts(
-        layers in 1usize..3,
-        width in 1usize..4,
-        bytes in 1e8f64..1e11,
-        seed in any::<u64>(),
-    ) {
-        let scenario = layered_mc_scenario(layers, width, bytes, 0.3);
-        let runs: Vec<Vec<u64>> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                let mc = mc_run(&scenario, &McOptions { reps: 16, seed, threads }).unwrap();
-                mc_bits(&mc)
-            })
-            .collect();
-        prop_assert!(runs[0] == runs[1], "1 vs 2 threads diverged");
-        prop_assert!(runs[0] == runs[2], "1 vs 4 threads diverged");
+        prop_assert!(mc.min <= mc.mean && mc.mean <= mc.max);
     }
 }
