@@ -366,6 +366,32 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 // so the server resolves posted sources through the identical path.
 pub(crate) use wrm_serve::resolve::compile_checked;
 
+/// The planning DAG on `machine` with each task's duration replaced by
+/// its wall time in `trace` — latest end minus earliest start of its
+/// spans, as [`wrm_trace::Trace::task_time`] computes it — folded in
+/// one pass over the spans.
+fn measured_dag(
+    compiled: &wrm_lang::Compiled,
+    machine: &wrm_core::Machine,
+    trace: &wrm_trace::Trace,
+) -> Result<wrm_dag::Dag, String> {
+    let mut dag = compiled.dag(machine).map_err(|e| e.to_string())?;
+    let mut window = vec![(f64::INFINITY, f64::NEG_INFINITY); dag.len()];
+    for s in &trace.spans {
+        if let Some(id) = dag.task_by_name(&s.task) {
+            let (start, end) = &mut window[id.0];
+            *start = start.min(s.start);
+            *end = end.max(s.end);
+        }
+    }
+    for (i, (start, end)) in window.into_iter().enumerate() {
+        if start.is_finite() {
+            dag.task_mut(wrm_dag::TaskId(i)).duration = end - start;
+        }
+    }
+    Ok(dag)
+}
+
 fn load(flags: &Flags) -> Result<(wrm_lang::Compiled, wrm_core::Machine), String> {
     let path = flags
         .file
@@ -607,13 +633,7 @@ fn build_html_report(
         let scenario =
             Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(flags));
         let result = simulate(&scenario).map_err(|e| e.to_string())?;
-        let mut dag = compiled.dag(machine).map_err(|e| e.to_string())?;
-        for id in dag.task_ids().collect::<Vec<_>>() {
-            let name = dag.task(id).name.clone();
-            if let Some(t) = result.trace.task_time(&name) {
-                dag.task_mut(id).duration = t;
-            }
-        }
+        let dag = measured_dag(compiled, machine, &result.trace)?;
         let sched =
             list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
         if let Ok(chart) = GanttChart::build(&dag, &sched) {
@@ -707,13 +727,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     );
 
     if flags.gantt {
-        let mut dag = compiled.dag(&machine).map_err(|e| e.to_string())?;
-        for id in dag.task_ids().collect::<Vec<_>>() {
-            let name = dag.task(id).name.clone();
-            if let Some(t) = result.trace.task_time(&name) {
-                dag.task_mut(id).duration = t;
-            }
-        }
+        let dag = measured_dag(&compiled, &machine, &result.trace)?;
         let sched =
             list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
         let chart = GanttChart::build(&dag, &sched).map_err(|e| e.to_string())?;
@@ -835,13 +849,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let result = simulate(&scenario).map_err(|e| e.to_string())?;
 
     // Build the profile from the simulated task times.
-    let mut dag = compiled.dag(&machine).map_err(|e| e.to_string())?;
-    for id in dag.task_ids().collect::<Vec<_>>() {
-        let name = dag.task(id).name.clone();
-        if let Some(t) = result.trace.task_time(&name) {
-            dag.task_mut(id).duration = t;
-        }
-    }
+    let dag = measured_dag(&compiled, &machine, &result.trace)?;
     let sched =
         list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
     let profile = ParallelismProfile::from_schedule(&sched);

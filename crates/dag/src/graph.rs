@@ -7,8 +7,9 @@
 //! (number of parallel tasks, critical path length).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a task inside its [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -72,6 +73,34 @@ pub struct Dag {
     succs: Vec<Vec<TaskId>>,
     /// `preds[i]` = tasks that must complete before task `i` starts.
     preds: Vec<Vec<TaskId>>,
+    /// Name lookup over `tasks`. Derived data: not serialized, and
+    /// rebuilt on first use after deserialization or [`Dag::task_mut`].
+    #[serde(skip)]
+    names: NameIndex,
+}
+
+/// Task name -> id of its first occurrence, built lazily from the task
+/// list. Two DAGs with equal tasks have equal indexes, so the index
+/// takes no part in equality.
+#[derive(Debug, Clone, Default)]
+struct NameIndex(OnceLock<HashMap<String, TaskId>>);
+
+impl PartialEq for NameIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl NameIndex {
+    fn get(&self, tasks: &[Task]) -> &HashMap<String, TaskId> {
+        self.0.get_or_init(|| {
+            let mut ids = HashMap::with_capacity(tasks.len());
+            for (i, t) in tasks.iter().enumerate() {
+                ids.entry(t.name.clone()).or_insert(TaskId(i));
+            }
+            ids
+        })
+    }
 }
 
 impl Dag {
@@ -82,6 +111,7 @@ impl Dag {
             tasks: Vec::new(),
             succs: Vec::new(),
             preds: Vec::new(),
+            names: NameIndex::default(),
         }
     }
 
@@ -93,7 +123,7 @@ impl Dag {
         duration: f64,
     ) -> Result<TaskId, DagError> {
         let name = name.into();
-        if self.tasks.iter().any(|t| t.name == name) {
+        if self.names.get(&self.tasks).contains_key(&name) {
             return Err(DagError::DuplicateName(name));
         }
         if nodes == 0 {
@@ -105,6 +135,11 @@ impl Dag {
             )));
         }
         let id = TaskId(self.tasks.len());
+        self.names
+            .0
+            .get_mut()
+            .expect("the duplicate check built the index")
+            .insert(name.clone(), id);
         self.tasks.push(Task {
             name,
             nodes,
@@ -150,13 +185,16 @@ impl Dag {
     }
 
     /// Mutable access to a task (e.g. to record a measured duration).
+    /// The caller may rename the task, so the name index is dropped and
+    /// rebuilt on the next lookup.
     pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
+        self.names.0.take();
         &mut self.tasks[id.0]
     }
 
-    /// Looks a task up by name.
+    /// Looks a task up by name (the first task with that name).
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
-        self.tasks.iter().position(|t| t.name == name).map(TaskId)
+        self.names.get(&self.tasks).get(name).copied()
     }
 
     /// All task ids in insertion order.
@@ -454,6 +492,34 @@ mod tests {
             d.add_dep(a, TaskId(99)),
             Err(DagError::UnknownTask(_))
         ));
+    }
+
+    #[test]
+    fn name_index_follows_renames_and_survives_serde() {
+        let mut d = lcls();
+        let merge = d.task_by_name("merge").unwrap();
+        d.task_mut(merge).name = "join".into();
+        assert_eq!(d.task_by_name("merge"), None);
+        assert_eq!(d.task_by_name("join"), Some(merge));
+        assert!(d.add_task("merge", 1, 1.0).is_ok());
+        assert_eq!(
+            d.add_task("join", 1, 1.0),
+            Err(DagError::DuplicateName("join".into()))
+        );
+
+        // The index is not serialized; a deserialized DAG rebuilds it,
+        // compares equal and still rejects the same duplicate.
+        let json = serde_json::to_string(&d).unwrap();
+        assert!(!json.contains("names"), "{json}");
+        let mut back: Dag = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, d);
+        assert_eq!(back.task_by_name("analyze[3]"), Some(TaskId(3)));
+        assert_eq!(
+            back.add_task("analyze[3]", 1, 1.0),
+            Err(DagError::DuplicateName("analyze[3]".into()))
+        );
+        assert_eq!(back.add_task("fresh", 1, 1.0), Ok(TaskId(7)));
+        assert_eq!(back.task_by_name("fresh"), Some(TaskId(7)));
     }
 
     #[test]

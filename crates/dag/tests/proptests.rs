@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wrm_dag::generate::random_layered;
-use wrm_dag::{list_schedule, Dag, GanttChart, Policy};
+use wrm_dag::{list_schedule, Dag, DagError, GanttChart, Policy, TaskId};
 
 prop_compose! {
     fn dag_strategy()(
@@ -140,5 +140,34 @@ proptest! {
         let ms_small = list_schedule(&dag, small, Policy::Fifo).unwrap().makespan;
         let ms_large = list_schedule(&dag, large, Policy::Fifo).unwrap().makespan;
         prop_assert!(ms_large <= ms_small + 1e-9);
+    }
+
+    #[test]
+    fn add_task_rejects_duplicates_like_a_linear_scan(
+        picks in prop::collection::vec(0usize..12, 0..48),
+    ) {
+        // Names drawn from a small pool, so most lists repeat some. The
+        // naive model is the linear scan `add_task` used to run.
+        let mut dag = Dag::new("dups");
+        let mut accepted: Vec<String> = Vec::new();
+        for (pos, pick) in picks.iter().enumerate() {
+            let name = format!("t{pick}");
+            let seen = accepted.contains(&name);
+            match dag.add_task(name.clone(), 1, 1.0) {
+                Err(DagError::DuplicateName(n)) => {
+                    prop_assert!(seen, "position {pos}: `{name}` rejected but never added");
+                    prop_assert_eq!(n, name);
+                }
+                Ok(id) => {
+                    prop_assert!(!seen, "position {pos}: duplicate `{name}` accepted");
+                    prop_assert_eq!(id, TaskId(accepted.len()));
+                    accepted.push(name);
+                }
+                Err(e) => prop_assert!(false, "position {pos}: unexpected {e}"),
+            }
+        }
+        for (i, name) in accepted.iter().enumerate() {
+            prop_assert_eq!(dag.task_by_name(name), Some(TaskId(i)));
+        }
     }
 }

@@ -267,16 +267,13 @@ pub fn compile(ast: &WorkflowAst) -> Result<Compiled, LangError> {
         }
     }
 
-    spec.validate()
-        .map_err(|e| LangError::new(format!("invalid workflow: {e}"), 0, 0))?;
-
     // Structure: width of the widest level.
-    let dag = spec
-        .to_dag_with(|_| 0.0)
-        .map_err(|e| LangError::new(format!("workflow graph: {e}"), 0, 0))?;
-    let parallel =
-        dag.max_width()
-            .map_err(|e| LangError::new(format!("workflow graph: {e}"), 0, 0))? as f64;
+    let parallel = spec
+        .level_widths()
+        .map_err(|e| LangError::new(format!("invalid workflow: {e}"), 0, 0))?
+        .into_iter()
+        .max()
+        .unwrap_or(0) as f64;
 
     // Custom machines declared in the file shadow the presets.
     let machine = match &ast.machine {
@@ -418,6 +415,26 @@ workflow lcls on cori-hsw {
         assert_eq!((e.line, e.col), (3, 11));
         let e = compile_source("workflow w on summit {\n  task a { }\n}").unwrap_err();
         assert_eq!((e.line, e.col), (1, 15));
+        let e = compile_source("workflow w {\n  task a { }\n  task a { }\n}").unwrap_err();
+        assert_eq!(e.message, "task `a` is declared twice");
+        assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn parallel_tasks_is_the_widest_dependency_level() {
+        // Levels: a 0; b, c 1; d 2; e 3 (its deepest predecessor is d).
+        let c = compile_source(
+            "workflow w { task a { } task b { after a } task c[2] { after a } \
+             task d { after b } task e { after a after d after c[1] } }",
+        )
+        .unwrap();
+        assert_eq!(c.total_tasks, 6.0);
+        assert_eq!(c.parallel_tasks, 3.0);
+        let e = compile_source("workflow w { task a { after a } }").unwrap_err();
+        assert_eq!(
+            e.message,
+            "invalid workflow: workflow graph error: task a depends on itself"
+        );
     }
 
     #[test]

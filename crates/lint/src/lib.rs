@@ -25,5 +25,7 @@ pub use diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
 pub use fixit::{apply as apply_fixes, collect_edits, FixOutcome};
 pub use interval::Interval;
 pub use ir::AnalysisIr;
-pub use rules::{lint_ast, lint_errors, lint_source, max_severity, rule, RuleInfo, RULES};
+pub use rules::{
+    lint_ast, lint_errors, lint_gate, lint_source, max_severity, rule, RuleInfo, RULES,
+};
 pub use sarif::{to_sarif, validate_sarif};

@@ -38,6 +38,7 @@ use crate::passes;
 use std::collections::{BTreeMap, BTreeSet};
 use wrm_core::{machines, Machine, WorkUnit};
 use wrm_lang::ast::{PhaseAst, TaskAst, WorkflowAst};
+use wrm_lang::Compiled;
 
 /// Registry metadata for one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,10 +253,23 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
 /// the analyzer passes it runs only those that can emit an error code,
 /// skipping warning-only work such as W006's transitive reduction.
 pub fn lint_errors(ast: &WorkflowAst) -> Vec<Diagnostic> {
-    let (ctx, mut out) = check_rules(ast);
+    lint_gate(ast).0
+}
+
+/// The error gate of [`lint_errors`], plus the spec it compiled on the
+/// way: `Some` exactly when the gate is clean and the spec compiles,
+/// and then equal to what [`wrm_lang::compile`] returns, so a caller
+/// that gates first need not compile again.
+pub fn lint_gate(ast: &WorkflowAst) -> (Vec<Diagnostic>, Option<Compiled>) {
+    let (mut ctx, mut out) = check_rules(ast);
     passes::run_errors(&ctx, &mut out);
     out.retain(|d| d.severity == Severity::Error);
-    sorted(out)
+    let compiled = if out.is_empty() {
+        ctx.compiled.take()
+    } else {
+        None
+    };
+    (sorted(out), compiled)
 }
 
 /// Runs the semantic rules, then lowers the workflow for the analyzer
@@ -442,6 +456,9 @@ fn check_cycles(ast: &WorkflowAst, out: &mut Vec<Diagnostic>) {
         .collect();
     // settled[i]: fully explored with no cycle, or already reported.
     let mut settled = vec![false; ast.tasks.len()];
+    // Every DFS pops each node it pushes, so `on_path` is all false
+    // again at each start.
+    let mut on_path = vec![false; ast.tasks.len()];
     for start in 0..ast.tasks.len() {
         if settled[start] {
             continue;
@@ -450,7 +467,6 @@ fn check_cycles(ast: &WorkflowAst, out: &mut Vec<Diagnostic>) {
         // long chains cannot overflow the stack.
         let mut path: Vec<usize> = vec![start];
         let mut edge_pos: Vec<usize> = vec![0];
-        let mut on_path = vec![false; ast.tasks.len()];
         on_path[start] = true;
         while let Some(&node) = path.last() {
             let deps = &ast.tasks[node].after;
@@ -1054,6 +1070,37 @@ workflow w on m {
         let errs = lint_errors(&ast);
         assert!(!errs.is_empty());
         assert!(errs.iter().all(|d| d.severity == Severity::Error));
+    }
+
+    #[test]
+    fn lint_gate_hands_back_the_compiled_spec_only_when_clean() {
+        // Clean, and clean apart from warnings: the spec compile returns.
+        for src in [
+            "workflow w on pm-cpu { task a[3] { nodes 2 } task b { after a } }",
+            "workflow w on pm-gpu { task a { node_bytes dram 0GB } }",
+        ] {
+            let ast = wrm_lang::parse(src).unwrap();
+            let (errors, compiled) = lint_gate(&ast);
+            assert!(errors.is_empty(), "{src}: {errors:?}");
+            let compiled = compiled.expect("a clean gate compiles");
+            let direct = wrm_lang::compile(&ast).unwrap();
+            assert_eq!(compiled.spec, direct.spec);
+            assert_eq!(compiled.parallel_tasks, direct.parallel_tasks);
+            assert_eq!(compiled.total_tasks, direct.total_tasks);
+        }
+        // Errors: no spec, and the diagnostics lint_errors reports.
+        let ast = wrm_lang::parse("workflow w { task b { after ghost } }").unwrap();
+        let (errors, compiled) = lint_gate(&ast);
+        assert!(compiled.is_none());
+        assert_eq!(errors, lint_errors(&ast));
+        assert_eq!(errors[0].code, "E002");
+        // A clean gate over a spec that does not compile (an invalid
+        // machine body is the compiler's to report): no spec either.
+        let ast = wrm_lang::parse("machine m { nodes 0 } workflow w on m { task a { } }").unwrap();
+        let (errors, compiled) = lint_gate(&ast);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert!(compiled.is_none());
+        assert!(wrm_lang::compile(&ast).is_err());
     }
 
     #[test]

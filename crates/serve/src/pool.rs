@@ -6,9 +6,12 @@
 //! connection threads do only I/O and JSON assembly; they submit
 //! closures here and block on a per-request `std::sync::mpsc` channel
 //! for the results. Jobs never submit jobs, so the pool cannot
-//! deadlock on itself regardless of queue depth.
+//! deadlock on itself regardless of queue depth. A job that panics
+//! costs only its own request: the worker catches the unwind and goes
+//! on with a fresh arena.
 
 use crossbeam::channel::{unbounded, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use wrm_mc::thread::JoinHandle;
 use wrm_sim::SimArena;
 
@@ -37,7 +40,14 @@ impl WorkerPool {
                     .spawn(move || {
                         let mut arena = SimArena::new();
                         while let Ok(job) = rx.recv() {
-                            job(&mut arena);
+                            // A panicking job must not take its worker
+                            // down with it. Its result sender drops in
+                            // the unwind, so the waiting request sees
+                            // its channel disconnect; the arena the job
+                            // may have left half-mutated is replaced.
+                            if catch_unwind(AssertUnwindSafe(|| job(&mut arena))).is_err() {
+                                arena = SimArena::new();
+                            }
                         }
                     })
                     .expect("spawn worker thread")
@@ -100,6 +110,26 @@ mod tests {
         let mut got: Vec<u64> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_worker() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = mpsc::channel::<u32>();
+        assert!(pool.submit(Box::new(move |_| {
+            // The job owns its result sender, as request jobs do.
+            let _sender = tx;
+            panic!("job panics");
+        })));
+        assert!(
+            rx.recv().is_err(),
+            "the panicking job's channel disconnects"
+        );
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(Box::new(move |_| {
+            let _ = tx.send(7u32);
+        })));
+        assert_eq!(rx.recv(), Ok(7), "the one worker still runs jobs");
     }
 
     #[test]

@@ -14,10 +14,10 @@ pub const BUILTINS: [&str; 5] = ["lcls", "bgw", "cosmoflow", "gptune-rci", "gptu
 /// lint subset first so a broken spec fails with spanned diagnostics
 /// instead of whatever the compiler trips over first. `path` labels
 /// the diagnostics (a file path in the CLI, a client-provided label on
-/// the server).
+/// the server). The spec is compiled once, inside the gate.
 pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, String> {
     let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
-    let errors = wrm_lint::lint_errors(&ast);
+    let (errors, compiled) = wrm_lint::lint_gate(&ast);
     if !errors.is_empty() {
         let mut msg = String::new();
         for d in &errors {
@@ -29,7 +29,12 @@ pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, S
         ));
         return Err(msg);
     }
-    wrm_lang::compile(&ast).map_err(|e| format!("{path}:{e}"))
+    match compiled {
+        Some(compiled) => Ok(compiled),
+        // A clean gate over a spec that does not compile: compile again
+        // for the compiler's own error text.
+        None => wrm_lang::compile(&ast).map_err(|e| format!("{path}:{e}")),
+    }
 }
 
 /// Resolves the machine for a compiled spec: an explicit override wins,

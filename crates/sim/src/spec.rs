@@ -2,7 +2,6 @@
 //! tasks, plus the scenario knobs (contention, jitter, scheduling).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use wrm_core::{Dist, Machine};
 use wrm_dag::{Dag, DagError};
@@ -257,14 +256,22 @@ impl WorkflowSpec {
     }
 
     /// Validates phases, dependency names, and acyclicity.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        self.level_widths().map(drop)
+    }
+
+    /// Validates like [`validate`](Self::validate) and returns the
+    /// number of tasks at each dependency level: roots are level 0, any
+    /// other task sits one level below its deepest predecessor, as in
+    /// [`Dag::level_groups`]. The widest level is the structural
+    /// "number of parallel tasks".
     ///
     /// The happy path runs on dense indices (hash-map name resolution
-    /// plus an index-based Kahn scan), so validation is
-    /// `O(tasks + deps)`. The string-keyed [`Dag`] — whose
-    /// duplicate-name scan is quadratic — is only built when a
-    /// structural problem is detected, purely to reproduce the exact
-    /// error value callers have always seen.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    /// plus an index-based Kahn scan), so this is `O(tasks + deps)`.
+    /// The string-keyed [`Dag`] is only built when a structural problem
+    /// is detected, to name the duplicate, self-dependency or cycle
+    /// member exactly as its construction always has.
+    pub fn level_widths(&self) -> Result<Vec<usize>, SpecError> {
         let mut names: std::collections::HashMap<&str, u32> =
             std::collections::HashMap::with_capacity(self.tasks.len());
         let mut duplicate = false;
@@ -310,19 +317,26 @@ impl WorkflowSpec {
                 }
             }
         }
-        if !self.is_acyclic(&names) {
-            // Let the DAG construction name the self-dependency or the
-            // first cycle member, exactly as it always has.
-            self.to_dag_with(|_| 0.0)?;
+        match self.acyclic_level_widths(&names) {
+            Some(widths) => Ok(widths),
+            None => {
+                // Let the DAG construction name the self-dependency or
+                // the first cycle member, exactly as it always has.
+                self.to_dag_with(|_| 0.0)?;
+                unreachable!("the index scan and the Dag disagree on acyclicity")
+            }
         }
-        Ok(())
     }
 
     /// Index-based Kahn scan over the dependency lists (`names` maps
     /// task name to index; every dependency is known to resolve).
-    /// Returns `false` on a self-dependency or a cycle; the caller then
-    /// rebuilds the [`Dag`] to produce the historical error value.
-    fn is_acyclic(&self, names: &std::collections::HashMap<&str, u32>) -> bool {
+    /// Returns the level widths, or `None` on a self-dependency or a
+    /// cycle; the caller then rebuilds the [`Dag`] to produce the
+    /// historical error value.
+    fn acyclic_level_widths(
+        &self,
+        names: &std::collections::HashMap<&str, u32>,
+    ) -> Option<Vec<usize>> {
         let n = self.tasks.len();
         // Per-task predecessor lists, deduplicated ([`Dag`] ignores
         // duplicate edges, so double-counting indegree here would
@@ -336,7 +350,7 @@ impl WorkflowSpec {
             for dep in &t.after {
                 let p = names[dep.as_str()];
                 if p == i as u32 {
-                    return false; // self-dependency
+                    return None; // self-dependency
                 }
                 scratch.push(p);
             }
@@ -366,38 +380,48 @@ impl WorkflowSpec {
         let mut queue: Vec<u32> = (0..n as u32)
             .filter(|&i| indegree[i as usize] == 0)
             .collect();
+        // A task is popped after all its predecessors, so its level is
+        // final by then.
+        let mut level = vec![0u32; n];
+        let mut widths: Vec<usize> = Vec::new();
         let mut head = 0;
         while head < queue.len() {
             let v = queue[head] as usize;
             head += 1;
+            let lv = level[v];
+            match widths.get_mut(lv as usize) {
+                Some(w) => *w += 1,
+                None => widths.push(1),
+            }
             for &s in &succs[succ_off[v] as usize..succ_off[v + 1] as usize] {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    queue.push(s);
+                let s = s as usize;
+                level[s] = level[s].max(lv + 1);
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    queue.push(s as u32);
                 }
             }
         }
-        queue.len() == n
+        (queue.len() == n).then_some(widths)
     }
 
     /// Builds the dependency [`Dag`], estimating each task's duration via
     /// `duration_of`.
     pub fn to_dag_with<F: Fn(&TaskSpec) -> f64>(&self, duration_of: F) -> Result<Dag, SpecError> {
         let mut dag = Dag::new(self.name.clone());
-        let mut ids = BTreeMap::new();
+        let mut ids = Vec::with_capacity(self.tasks.len());
         for t in &self.tasks {
-            let id = dag.add_task(t.name.clone(), t.nodes.max(1), duration_of(t))?;
-            ids.insert(t.name.as_str(), id);
+            ids.push(dag.add_task(t.name.clone(), t.nodes.max(1), duration_of(t))?);
         }
-        for t in &self.tasks {
+        for (t, &id) in self.tasks.iter().zip(&ids) {
             for dep in &t.after {
-                let Some(&from) = ids.get(dep.as_str()) else {
+                let Some(from) = dag.task_by_name(dep) else {
                     return Err(SpecError::UnknownDependency {
                         task: t.name.clone(),
                         dependency: dep.clone(),
                     });
                 };
-                dag.add_dep(from, ids[t.name.as_str()])?;
+                dag.add_dep(from, id)?;
             }
         }
         dag.validate()?;
@@ -521,6 +545,47 @@ mod tests {
             .task(TaskSpec::new("a", 1))
             .task(TaskSpec::new("a", 1));
         assert!(wf.validate().is_err());
+    }
+
+    #[test]
+    fn the_first_repeated_name_is_the_reported_duplicate() {
+        // Two duplicates far apart: both paths name the earlier one,
+        // with the error text they always had.
+        let mut wf = WorkflowSpec::new("w");
+        for i in 0..2000 {
+            wf = wf.task(TaskSpec::new(format!("t{i}"), 1));
+        }
+        let wf = wf
+            .task(TaskSpec::new("t1500", 1).after("t0"))
+            .task(TaskSpec::new("t7", 1));
+        let dup = SpecError::Dag(DagError::DuplicateName("t1500".into()));
+        assert_eq!(wf.validate(), Err(dup.clone()));
+        assert_eq!(wf.level_widths(), Err(dup.clone()));
+        assert_eq!(wf.to_dag_with(|_| 1.0).unwrap_err(), dup);
+        assert_eq!(
+            dup.to_string(),
+            "workflow graph error: duplicate task name: t1500"
+        );
+    }
+
+    #[test]
+    fn level_widths_match_the_dag_levels() {
+        for seed in 0..32 {
+            let dag = wrm_dag::generate::random_layered(seed, 6, 5, 4, 10.0).unwrap();
+            let mut wf = WorkflowSpec::new("g");
+            for id in dag.task_ids() {
+                let mut t = TaskSpec::new(dag.task(id).name.clone(), dag.task(id).nodes);
+                for &p in dag.predecessors(id) {
+                    // Repeat each edge: duplicates must not shift levels.
+                    t = t.after(dag.task(p).name.clone());
+                    t = t.after(dag.task(p).name.clone());
+                }
+                wf = wf.task(t);
+            }
+            let groups: Vec<usize> = dag.level_groups().unwrap().iter().map(Vec::len).collect();
+            assert_eq!(wf.level_widths().unwrap(), groups, "seed {seed}");
+        }
+        assert_eq!(WorkflowSpec::new("empty").level_widths(), Ok(Vec::new()));
     }
 
     #[test]
